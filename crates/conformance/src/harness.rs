@@ -1353,8 +1353,12 @@ fn check_server(ctx: &mut Ctx<'_>) {
         let line = wire::render_request(name, Priority::Normal, request);
         ctx.check(
             "server.request-roundtrip",
-            wire::parse_request(&line)
-                .map(|(envelope, parsed)| envelope.id == *name && parsed == *request)
+            wire::scan_envelope_prescanned(&line)
+                .and_then(|(_, pre)| {
+                    let pre = pre.expect("request frames carry a prescan");
+                    wire::parse_request_prescanned(&line, pre)
+                })
+                .map(|(envelope, parsed, _)| envelope.id == *name && parsed == *request)
                 .unwrap_or(false),
             || format!("{name}: rendered request does not parse back identically"),
         );

@@ -297,8 +297,9 @@ pub enum Record {
     Payload {
         /// Content address admitted records refer to.
         hash: PayloadHash,
-        /// The raw request frame, replayed through
-        /// `wire::parse_request` on recovery.
+        /// The raw request frame; recovery replays it through the one
+        /// ingest scan, `wire::scan_envelope_prescanned`, and parses
+        /// its body from that scan.
         line: String,
     },
     /// A request passed admission control.
@@ -343,8 +344,9 @@ pub struct JournalStats {
 pub struct RecoveredJob {
     /// The envelope the journal recorded at admission.
     pub record: AdmittedRecord,
-    /// The resolved request line, replayed through
-    /// `wire::parse_request` on recovery.
+    /// The resolved request line; recovery replays it through the one
+    /// ingest scan, `wire::scan_envelope_prescanned`, and parses its
+    /// body from that scan.
     pub line: String,
 }
 

@@ -6,15 +6,18 @@
 //! `Infinity` tokens, a hard nesting-depth cap — because every accepted
 //! frame must round-trip through the renderer byte-for-byte.
 //!
-//! Two entry points:
+//! Entry points:
 //!
 //! * [`parse`] — full recursive parse into a [`Json`] tree;
-//! * [`scan_top_level`] — a cheap single-pass scanner that splits one
-//!   top-level object into `(key, raw-value-slice)` pairs without
-//!   building values. Ingest uses it to read the envelope fields
-//!   (`type`, `id`, `priority`) of a large request frame without paying
-//!   for the instance payload; workers and tests use the slices to
-//!   extract embedded payloads byte-exactly.
+//! * [`scan_frame`] — the ingest scan: a cheap single pass that splits
+//!   one client frame into `(key, raw-value-slice)` pairs without
+//!   building values, harvesting a canonically spelled instance on the
+//!   way. Everything downstream parses from those slices;
+//! * [`scan_top_level`] — the same scan without the harvest, for reply
+//!   frames and embedded objects (clients and tests extract payloads
+//!   byte-exactly with it);
+//! * [`parse_edge_pairs`] / [`scan_edge_pairs`] — the strict and the
+//!   zero-copy edge-list parsers.
 
 use std::fmt;
 
@@ -497,45 +500,25 @@ pub fn scan_top_level(input: &str) -> Result<Vec<(&str, &str)>, ParseError> {
     scan_top_level_impl(input, None)
 }
 
-/// [`scan_top_level`] fused with the zero-copy edge scanner: while
-/// skipping the value of a top-level `"edges"` key, the canonical
-/// `[[a,b],...]` fast grammar is parsed in the same traversal, so the
-/// hot instance-ingest path touches the edge bytes once instead of
-/// twice (skip, then re-scan). The second element is `Some(pairs)` when
-/// the fast grammar served the edge list; `None` means either there was
-/// no `edges` key or its spelling was exotic — the caller falls back to
-/// [`scan_edge_pairs`] on the returned raw slice, whose acceptance,
-/// rejection, and offsets are byte-identical by construction.
-///
-/// # Errors
-///
-/// Exactly the [`ParseError`]s of [`scan_top_level`].
-#[allow(clippy::type_complexity)]
-pub fn scan_object_with_edges(
-    input: &str,
-) -> Result<(Vec<(&str, &str)>, Option<Vec<(usize, usize)>>), ParseError> {
-    let mut captured = None;
-    let fields = scan_top_level_impl(input, Some(Capture::Edges(&mut captured)))?;
-    Ok((fields, captured))
-}
+/// A fused scan's harvest of the `"instance"` object: its own
+/// `(key, raw-value)` pairs and its canonically spelled edge pairs.
+pub type InstanceScan<'a> = (Vec<(&'a str, &'a str)>, Vec<(usize, usize)>);
 
-/// One-pass scan of a request frame: the top-level fields, plus — when
+/// One-pass scan of a client frame: the top-level fields, plus — when
 /// the `"instance"` value is an object the fused grammar fully served —
 /// that object's own fields and its parsed edge pairs. The ingest
 /// thread uses this so the per-frame envelope scan it must do anyway
-/// also harvests everything the worker would otherwise re-scan.
+/// also harvests everything the frame's body parse would otherwise
+/// re-scan.
 #[derive(Debug)]
 pub struct FrameScan<'a> {
     /// Top-level `(key, raw-value)` pairs, exactly as [`scan_top_level`].
     pub fields: Vec<(&'a str, &'a str)>,
-    /// The `"instance"` object's own `(key, raw-value)` pairs, when the
-    /// fused scan served the whole object (canonical edge spelling, no
-    /// structural surprises). `None` means the worker falls back to its
-    /// own strict scan — behavior is byte-identical either way.
-    pub instance_fields: Option<Vec<(&'a str, &'a str)>>,
-    /// The instance's edge pairs; `Some` exactly when `instance_fields`
-    /// is `Some` (the fused scan is all-or-nothing).
-    pub edge_pairs: Option<Vec<(usize, usize)>>,
+    /// The instance harvest, when the fused scan served the whole object
+    /// (canonical edge spelling, no structural surprises) — it is
+    /// all-or-nothing. `None` means the body parse scans the instance
+    /// slice itself; behavior is byte-identical either way.
+    pub instance: Option<InstanceScan<'a>>,
 }
 
 /// [`scan_top_level`] fused with instance-object and edge-list capture
@@ -547,34 +530,14 @@ pub struct FrameScan<'a> {
 ///
 /// Exactly the [`ParseError`]s of [`scan_top_level`].
 pub fn scan_frame(input: &str) -> Result<FrameScan<'_>, ParseError> {
-    let mut captured = None;
-    let fields = scan_top_level_impl(input, Some(Capture::Instance(&mut captured)))?;
-    let (instance_fields, edge_pairs) = match captured {
-        Some((fields, pairs)) => (Some(fields), Some(pairs)),
-        None => (None, None),
-    };
-    Ok(FrameScan {
-        fields,
-        instance_fields,
-        edge_pairs,
-    })
-}
-
-/// What a fused scan harvests while skipping values it would have to
-/// traverse anyway. `'m` borrows the caller's capture slot, `'a` the
-/// input text.
-enum Capture<'m, 'a> {
-    /// Parse a top-level `"edges"` array on the canonical fast grammar.
-    Edges(&'m mut Option<Vec<(usize, usize)>>),
-    /// Scan a top-level `"instance"` object's fields and parse its
-    /// `"edges"` on the canonical fast grammar, all-or-nothing.
-    #[allow(clippy::type_complexity)]
-    Instance(&'m mut Option<(Vec<(&'a str, &'a str)>, Vec<(usize, usize)>)>),
+    let mut instance = None;
+    let fields = scan_top_level_impl(input, Some(&mut instance))?;
+    Ok(FrameScan { fields, instance })
 }
 
 fn scan_top_level_impl<'a>(
     input: &'a str,
-    mut capture: Option<Capture<'_, 'a>>,
+    mut capture: Option<&mut Option<InstanceScan<'a>>>,
 ) -> Result<Vec<(&'a str, &'a str)>, ParseError> {
     let bytes = input.as_bytes();
     let mut p = Parser { bytes, pos: 0 };
@@ -605,22 +568,13 @@ fn scan_top_level_impl<'a>(
             // value like any other
             let mut skipped = false;
             match &mut capture {
-                Some(Capture::Edges(cap)) if key == "edges" && p.peek() == Some(b'[') => {
-                    let mut end = p.pos;
-                    if let Some(pairs) = fast_pairs_core(bytes, &mut end) {
-                        **cap = Some(pairs);
-                        p.pos = end;
-                        skipped = true;
-                    }
-                }
-                Some(Capture::Instance(cap)) if key == "instance" && p.peek() == Some(b'{') => {
-                    let start = p.pos;
+                Some(cap) if key == "instance" && p.peek() == Some(b'{') => {
                     match try_scan_object_with_edges(input, &mut p) {
                         Some(inner) => {
                             **cap = Some(inner);
                             skipped = true;
                         }
-                        None => p.pos = start,
+                        None => p.pos = value_start,
                     }
                 }
                 _ => {}
@@ -736,11 +690,7 @@ fn skip_numeric_array(p: &mut Parser<'_>, depth: usize) -> bool {
 /// anomaly, duplicate key, exotic edge spelling, or missing edges key:
 /// the generic [`skip_value`] then handles the value, and whoever
 /// parses the slice later reproduces today's exact error or fallback.
-#[allow(clippy::type_complexity)]
-fn try_scan_object_with_edges<'a>(
-    input: &'a str,
-    p: &mut Parser<'a>,
-) -> Option<(Vec<(&'a str, &'a str)>, Vec<(usize, usize)>)> {
+fn try_scan_object_with_edges<'a>(input: &'a str, p: &mut Parser<'a>) -> Option<InstanceScan<'a>> {
     let bytes = p.bytes;
     p.pos += 1;
     let mut fields: Vec<(&'a str, &'a str)> = Vec::new();
@@ -1073,7 +1023,6 @@ mod tests {
         let line = r#"{"v":1,"type":"request","id":"r","problem":{"name":"mis","base_degree":3},"instance":{"kind":"bipartite","left":3,"right":3,"edges":[[0,1],[2,0]]}}"#;
         let scan = scan_frame(line).unwrap();
         assert_eq!(scan.fields, scan_top_level(line).unwrap());
-        assert_eq!(scan.edge_pairs, Some(vec![(0, 1), (2, 0)]));
         let instance = scan
             .fields
             .iter()
@@ -1081,27 +1030,22 @@ mod tests {
             .unwrap()
             .1;
         assert_eq!(
-            scan.instance_fields,
-            Some(scan_top_level(instance).unwrap())
+            scan.instance,
+            Some((scan_top_level(instance).unwrap(), vec![(0, 1), (2, 0)]))
         );
-
-        // the instance-level fused scan harvests the same pairs
-        let (fields, pairs) = scan_object_with_edges(instance).unwrap();
-        assert_eq!(fields, scan_top_level(instance).unwrap());
-        assert_eq!(pairs, Some(vec![(0, 1), (2, 0)]));
 
         // exotic spelling: capture bails all-or-nothing, fields unchanged
         let exotic = line.replace("[2,0]", "[2,0.0]");
         let scan = scan_frame(&exotic).unwrap();
         assert_eq!(scan.fields, scan_top_level(&exotic).unwrap());
-        assert!(scan.edge_pairs.is_none() && scan.instance_fields.is_none());
+        assert!(scan.instance.is_none());
 
         // a duplicate key inside the instance bails capture but scans
         // (the plain scanner never dup-checks nested objects either)
         let dup = r#"{"instance":{"edges":[[0,1]],"edges":[[0,2]]}}"#;
         let scan = scan_frame(dup).unwrap();
         assert_eq!(scan.fields, scan_top_level(dup).unwrap());
-        assert!(scan.edge_pairs.is_none());
+        assert!(scan.instance.is_none());
 
         // malformed input errors identically
         let bad = r#"{"instance":{"kind":}}"#;

@@ -126,8 +126,9 @@ impl Default for ServerConfig {
 }
 
 enum Payload {
-    /// A raw wire line; the worker runs the strict body parse.
-    Wire(String),
+    /// A raw inline-request wire line and its ingest scan; the worker
+    /// parses the body from the scan without re-reading the envelope.
+    Wire(String, wire::PreScan),
     /// An already-typed request (the in-process fast path used by the
     /// benchmark harness to measure queue/worker machinery without
     /// codec cost).
@@ -153,10 +154,6 @@ struct Job {
     /// Client-supplied idempotency key; the delivered reply is cached
     /// under it so a retry replays instead of re-solving.
     idempotency_key: Option<String>,
-    /// Field ranges and pre-parsed edge pairs harvested by the ingest
-    /// scan, when the frame's spelling was canonical — the worker then
-    /// re-scans nothing. Never journaled; recovered jobs re-parse.
-    prescan: Option<wire::PreScan>,
 }
 
 enum Report {
@@ -176,22 +173,12 @@ const DELIVER_POLL: Duration = Duration::from_millis(1);
 /// collide with it.
 const RECOVERY_CONN: u64 = u64::MAX;
 
-/// What reply frame a cached payload replays as.
-#[derive(Clone, Copy)]
-enum ReplyKind {
-    /// A solved request (`solution` frame).
-    Solution,
-    /// A typed error (`error` frame).
-    Error,
-    /// An applied mutation (`mutated` frame).
-    Mutated,
-}
-
 /// A delivered reply remembered under its idempotency key.
 #[derive(Clone)]
 struct CachedReply {
-    /// Which frame type the replay renders.
-    kind: ReplyKind,
+    /// The frame type it was delivered as (`solution`, `error` or
+    /// `mutated`) — and replays as, whatever frame the retry is.
+    frame_type: &'static str,
     /// The reply payload, byte-for-byte as first delivered.
     payload: String,
 }
@@ -336,18 +323,37 @@ impl Shared {
     /// the sliver between completion and delivery loses only the frame,
     /// never the answer — the client's keyed retry re-solves the same
     /// deterministic request and gets byte-identical output.)
-    fn finish_job(&self, job: &Job, kind: ReplyKind, payload: String) {
-        if let (Some(journal), Some(record_id)) = (&self.config.journal, job.journal_id) {
+    fn finish_job(
+        &self,
+        journal_id: Option<u64>,
+        idempotency_key: Option<String>,
+        frame_type: &'static str,
+        payload: String,
+    ) {
+        if let (Some(journal), Some(record_id)) = (&self.config.journal, journal_id) {
             // a failing completion append degrades durability (the job
             // would be re-run after a crash), never availability
             let _ = journal.mark_completed(record_id);
         }
-        if let Some(key) = &job.idempotency_key {
-            self.idempotency
-                .lock()
-                .unwrap()
-                .insert(key.clone(), CachedReply { kind, payload });
+        if let Some(key) = idempotency_key {
+            self.idempotency.lock().unwrap().insert(
+                key,
+                CachedReply {
+                    frame_type,
+                    payload,
+                },
+            );
         }
+    }
+
+    /// Answers a keyed retry from the idempotency cache: the delivered
+    /// reply replays byte-for-byte under the retry's id and sequence
+    /// number, as the frame type it was delivered as — the key
+    /// identifies the reply, not the frame type of the retry.
+    fn replay(&self, idempotency_key: Option<&str>, id: &str, seq: u64) -> Option<String> {
+        let hit = self.idempotency.lock().unwrap().get(idempotency_key?)?;
+        self.replayed.fetch_add(1, Ordering::Relaxed);
+        Some(wire::replayed_frame(hit.frame_type, id, seq, &hit.payload))
     }
 
     /// (Re)inserts a held solution, enforcing the cache discipline in
@@ -517,7 +523,7 @@ impl Shared {
         inserts: &[(usize, usize)],
         deletes: &[(usize, usize)],
     ) -> Result<String, ApiError> {
-        let hash = wire::parse_handle(handle).expect("validated by scan_envelope");
+        let hash = wire::parse_handle(handle).expect("validated by the ingest scan");
         let mut handles = self.handles.lock().unwrap();
         let Some(existing) = handles.get(&hash) else {
             return Err(ApiError::InvalidRequest {
@@ -577,18 +583,8 @@ impl Shared {
     /// Journal-replay half of `upload`: re-parse and re-intern the
     /// instance, silently. Idempotent — repeated uploads of the same
     /// content land on the same table entry.
-    fn replay_upload(&self, line: &str) {
-        let Ok(fields) = crate::json::scan_top_level(line) else {
-            return;
-        };
-        let Some(raw) = fields
-            .iter()
-            .find(|(k, _)| *k == "instance")
-            .map(|(_, v)| *v)
-        else {
-            return;
-        };
-        if let Ok((instance, _)) = wire::parse_instance_traced(raw) {
+    fn replay_upload(&self, line: &str, pre: wire::PreScan) {
+        if let Ok((instance, _)) = wire::parse_upload(line, pre) {
             let hash = wire::instance_fingerprint(&instance);
             self.handles
                 .lock()
@@ -693,7 +689,7 @@ fn solve_held(
 
 fn worker_loop(shared: &Shared, slot: usize) {
     let session = Session::with_threads(1);
-    while let Some(mut job) = shared.queue.pop() {
+    while let Some(job) = shared.queue.pop() {
         if shared.is_killed() {
             // the "dead" process does nothing with remaining queued
             // work: drop it on the floor (draining so every worker
@@ -723,7 +719,7 @@ fn worker_loop(shared: &Shared, slot: usize) {
                 }
                 .to_json_line();
                 let frame = wire::error_frame(&job.id, job.seq, timing(started), &payload);
-                shared.finish_job(&job, ReplyKind::Error, payload);
+                shared.finish_job(job.journal_id, job.idempotency_key, "error", payload);
                 shared.deliver(job.conn, job.seq, frame);
                 shared.served.fetch_add(1, Ordering::Relaxed);
                 shared.inflight.fetch_sub(1, Ordering::Relaxed);
@@ -746,7 +742,7 @@ fn worker_loop(shared: &Shared, slot: usize) {
             None => CancelToken::new(),
         };
         *shared.active[slot].lock().unwrap() = Some(token.clone());
-        let prescan = job.prescan.take();
+        let payload = job.payload;
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 panic!("chaos: injected worker panic");
@@ -757,25 +753,19 @@ fn worker_loop(shared: &Shared, slot: usize) {
                     .map(|s| s.to_json_line())
                     .unwrap_or_else(|e| e.to_json_line())
             };
-            match &job.payload {
-                Payload::Wire(line) => {
-                    let parsed = match prescan {
-                        Some(pre) => wire::parse_request_prescanned(line, pre),
-                        None => wire::parse_request_traced(line),
-                    };
-                    match parsed {
-                        Ok((_, request, fast)) => {
-                            if !fast {
-                                shared.parse_fallbacks.fetch_add(1, Ordering::Relaxed);
-                            }
-                            solve(&request)
+            match payload {
+                Payload::Wire(line, pre) => match wire::parse_request_prescanned(&line, pre) {
+                    Ok((_, request, fast)) => {
+                        if !fast {
+                            shared.parse_fallbacks.fetch_add(1, Ordering::Relaxed);
                         }
-                        Err(e) => e.to_json_line(),
+                        solve(&request)
                     }
-                }
+                    Err(e) => e.to_json_line(),
+                },
                 Payload::Parsed(request) => match job.handle_hash {
-                    Some(hash) => solve_held(shared, &session, &token, request, hash),
-                    None => solve(request),
+                    Some(hash) => solve_held(shared, &session, &token, &request, hash),
+                    None => solve(&request),
                 },
             }
         }));
@@ -801,18 +791,14 @@ fn worker_loop(shared: &Shared, slot: usize) {
             };
             wire::internal_panic_payload(detail)
         });
-        let solution = payload.starts_with("{\"event\":\"solution\"");
-        let frame = if solution {
-            wire::solution_frame(&job.id, job.seq, timing(started), &payload)
+        let (frame, frame_type) = if payload.starts_with("{\"event\":\"solution\"") {
+            let frame = wire::solution_frame(&job.id, job.seq, timing(started), &payload);
+            (frame, "solution")
         } else {
-            wire::error_frame(&job.id, job.seq, timing(started), &payload)
+            let frame = wire::error_frame(&job.id, job.seq, timing(started), &payload);
+            (frame, "error")
         };
-        let kind = if solution {
-            ReplyKind::Solution
-        } else {
-            ReplyKind::Error
-        };
-        shared.finish_job(&job, kind, payload);
+        shared.finish_job(job.journal_id, job.idempotency_key, frame_type, payload);
         shared.deliver(job.conn, job.seq, frame);
         shared.served.fetch_add(1, Ordering::Relaxed);
         shared.inflight.fetch_sub(1, Ordering::Relaxed);
@@ -895,52 +881,56 @@ impl Server {
             // rebuilds the interned-handle table exactly as the old
             // process held it. Replays answer nobody and swallow
             // errors: a mutate that failed live fails identically here.
-            match wire::scan_envelope(&rec.line) {
-                Ok(ClientFrame::Upload { .. }) => {
-                    self.shared.replay_upload(&rec.line);
-                    self.shared.track_state_record(Some(rec.record.record_id));
+            let record_id = rec.record.record_id;
+            let pre = match wire::scan_envelope_prescanned(&rec.line) {
+                Ok((ClientFrame::Upload { .. }, Some(pre))) => {
+                    self.shared.replay_upload(&rec.line, pre);
+                    self.shared.track_state_record(Some(record_id));
                     continue;
                 }
-                Ok(ClientFrame::Release { handle, .. }) => {
+                Ok((ClientFrame::Release { handle, .. }, _)) => {
                     self.shared.replay_release(&handle);
-                    self.shared.track_state_record(Some(rec.record.record_id));
+                    self.shared.track_state_record(Some(record_id));
                     continue;
                 }
-                Ok(ClientFrame::Mutate { handle, .. }) => {
-                    if let Ok(fields) = crate::json::scan_top_level(&rec.line) {
-                        if let Ok((inserts, deletes)) = wire::parse_mutate_edits(&fields) {
-                            let outcome = self.shared.apply_mutation(&handle, &inserts, &deletes);
-                            // a keyed mutation that applied (live or
-                            // here) must keep replaying its reply after
-                            // the crash — the payload is deterministic,
-                            // so the recovered bytes match the originals
-                            if let (Ok(payload), Some(key)) = (outcome, &rec.record.idempotency_key)
-                            {
-                                self.shared.idempotency.lock().unwrap().insert(
-                                    key.clone(),
-                                    CachedReply {
-                                        kind: ReplyKind::Mutated,
-                                        payload,
-                                    },
-                                );
-                            }
+                Ok((ClientFrame::Mutate { handle, .. }, Some(pre))) => {
+                    if let Ok((inserts, deletes)) = wire::parse_mutate_edits(&rec.line, &pre) {
+                        let outcome = self.shared.apply_mutation(&handle, &inserts, &deletes);
+                        // a keyed mutation that applied (live or here)
+                        // must keep replaying its reply after the crash
+                        // — the payload is deterministic, so the
+                        // recovered bytes match the originals
+                        if let (Ok(payload), Some(key)) = (outcome, rec.record.idempotency_key) {
+                            self.shared.idempotency.lock().unwrap().insert(
+                                key,
+                                CachedReply {
+                                    frame_type: "mutated",
+                                    payload,
+                                },
+                            );
                         }
                     }
-                    self.shared.track_state_record(Some(rec.record.record_id));
+                    self.shared.track_state_record(Some(record_id));
                     continue;
                 }
-                _ => {}
-            }
+                Ok((ClientFrame::Request(_), Some(pre))) => pre,
+                // only a hand-edited journal holds a line that does not
+                // scan as a client frame; retire it rather than
+                // recovering it on every restart
+                _ => {
+                    let _ = journal.mark_completed(record_id);
+                    continue;
+                }
+            };
             let job = Job {
                 conn: RECOVERY_CONN,
                 seq,
                 id: rec.record.id,
-                payload: Payload::Wire(rec.line),
+                payload: Payload::Wire(rec.line, pre),
                 enqueued: self.shared.config.record_timings.then(Instant::now),
                 deadline: None,
-                journal_id: Some(rec.record.record_id),
+                journal_id: Some(record_id),
                 idempotency_key: rec.record.idempotency_key,
-                prescan: None,
                 handle_hash: None,
             };
             seq += 1;
@@ -1124,13 +1114,7 @@ impl Submitter {
         self.send_now(seq, wire::error_frame(id, seq, None, &payload));
     }
 
-    fn enqueue(
-        &self,
-        envelope: Envelope,
-        seq: u64,
-        payload: Payload,
-        prescan: Option<wire::PreScan>,
-    ) -> Submitted {
+    fn enqueue(&self, envelope: Envelope, seq: u64, payload: Payload) -> Submitted {
         if self.shared.is_killed() {
             // a dead process answers nothing
             return Submitted::Skipped;
@@ -1138,26 +1122,10 @@ impl Submitter {
         // idempotent retry: a key whose reply was already delivered is
         // answered from the cache — no admission, no journal append, no
         // second solve
-        if let Some(key) = envelope.idempotency_key.as_deref() {
-            if let Some(hit) = self.shared.idempotency.lock().unwrap().get(key) {
-                self.shared.replayed.fetch_add(1, Ordering::Relaxed);
-                let frame = match hit.kind {
-                    ReplyKind::Solution => {
-                        wire::replayed_frame(true, &envelope.id, seq, &hit.payload)
-                    }
-                    ReplyKind::Error => {
-                        wire::replayed_frame(false, &envelope.id, seq, &hit.payload)
-                    }
-                    // a request reusing a key last answered by a mutate
-                    // replays the mutated frame — the key identifies the
-                    // delivered reply, not the frame type of the retry
-                    ReplyKind::Mutated => {
-                        wire::replayed_mutated_frame(&envelope.id, seq, &hit.payload)
-                    }
-                };
-                self.send_now(seq, frame);
-                return Submitted::Replied;
-            }
+        let key = envelope.idempotency_key.as_deref();
+        if let Some(frame) = self.shared.replay(key, &envelope.id, seq) {
+            self.send_now(seq, frame);
+            return Submitted::Replied;
         }
         // write-ahead: the admission is journaled before the job can
         // reach a worker. An append failure degrades durability (this
@@ -1170,7 +1138,7 @@ impl Submitter {
         let mut journal_id = None;
         if let Some(journal) = &self.shared.config.journal {
             journal_id = match &payload {
-                Payload::Wire(line) => journal.append_admitted(
+                Payload::Wire(line, _) => journal.append_admitted(
                     &envelope.id,
                     envelope.priority,
                     envelope.deadline_ms,
@@ -1199,7 +1167,6 @@ impl Submitter {
                 .map(|ms| (Instant::now() + Duration::from_millis(ms), ms)),
             journal_id,
             idempotency_key: envelope.idempotency_key,
-            prescan,
             handle_hash: envelope.handle.as_deref().and_then(wire::parse_handle),
         };
         let refused = match self.shared.config.admission {
@@ -1263,14 +1230,14 @@ impl Submitter {
             return Submitted::Replied;
         }
         match wire::scan_envelope_prescanned(trimmed) {
-            Ok((ClientFrame::Request(envelope), prescan)) => {
+            Ok((ClientFrame::Request(envelope), Some(pre))) => {
                 if envelope.handle.is_some() {
-                    self.enqueue_handle(envelope, seq, trimmed)
+                    self.enqueue_handle(envelope, seq, trimmed, pre)
                 } else {
-                    self.enqueue(envelope, seq, Payload::Wire(trimmed.to_owned()), prescan)
+                    self.enqueue(envelope, seq, Payload::Wire(trimmed.to_owned(), pre))
                 }
             }
-            Ok((ClientFrame::Upload { id }, _)) => self.upload(&id, seq, trimmed),
+            Ok((ClientFrame::Upload { id }, Some(pre))) => self.upload(&id, seq, trimmed, pre),
             Ok((ClientFrame::Release { id, handle }, _)) => {
                 self.release(&id, seq, trimmed, &handle)
             }
@@ -1280,8 +1247,8 @@ impl Submitter {
                     handle,
                     idempotency_key,
                 },
-                _,
-            )) => self.mutate(&id, seq, trimmed, &handle, idempotency_key),
+                Some(pre),
+            )) => self.mutate(&id, seq, trimmed, pre, &handle, idempotency_key),
             Ok((ClientFrame::Ping { id }, _)) => {
                 let frame = wire::heartbeat_frame(&id, seq, self.shared.stats());
                 self.send_now(seq, frame);
@@ -1293,6 +1260,7 @@ impl Submitter {
                 self.next_seq = seq;
                 Submitted::Shutdown
             }
+            Ok((_, None)) => unreachable!("request, upload and mutate frames carry a prescan"),
             Err(e) => {
                 self.send_now(seq, wire::error_frame("", seq, None, &e.to_json_line()));
                 Submitted::Replied
@@ -1340,7 +1308,6 @@ impl Submitter {
             },
             seq,
             Payload::Parsed(Box::new(request)),
-            None,
         )
     }
 
@@ -1351,17 +1318,11 @@ impl Submitter {
     /// same handle. Processed inline on the ingest thread (like pings),
     /// so a request referencing a just-uploaded handle can never race a
     /// queued upload job.
-    fn upload(&self, id: &str, seq: u64, line: &str) -> Submitted {
+    fn upload(&self, id: &str, seq: u64, line: &str, pre: wire::PreScan) -> Submitted {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
-        let fields = crate::json::scan_top_level(line).expect("validated by scan_envelope");
-        let raw = fields
-            .iter()
-            .find(|(k, _)| *k == "instance")
-            .map(|(_, v)| *v)
-            .expect("instance presence checked by scan_envelope");
-        match wire::parse_instance_traced(raw) {
+        match wire::parse_upload(line, pre) {
             Ok((instance, fast)) => {
                 if !fast {
                     self.shared.parse_fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -1402,7 +1363,7 @@ impl Submitter {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
-        let hash = wire::parse_handle(handle).expect("validated by scan_envelope");
+        let hash = wire::parse_handle(handle).expect("validated by the ingest scan");
         let (removed, held) = {
             let mut handles = self.shared.handles.lock().unwrap();
             (handles.remove(&hash).is_some(), handles.len())
@@ -1451,26 +1412,18 @@ impl Submitter {
         id: &str,
         seq: u64,
         line: &str,
+        pre: wire::PreScan,
         handle: &str,
         idempotency_key: Option<String>,
     ) -> Submitted {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
-        if let Some(key) = idempotency_key.as_deref() {
-            if let Some(hit) = self.shared.idempotency.lock().unwrap().get(key) {
-                self.shared.replayed.fetch_add(1, Ordering::Relaxed);
-                let frame = match hit.kind {
-                    ReplyKind::Mutated => wire::replayed_mutated_frame(id, seq, &hit.payload),
-                    ReplyKind::Solution => wire::replayed_frame(true, id, seq, &hit.payload),
-                    ReplyKind::Error => wire::replayed_frame(false, id, seq, &hit.payload),
-                };
-                self.send_now(seq, frame);
-                return Submitted::Replied;
-            }
+        if let Some(frame) = self.shared.replay(idempotency_key.as_deref(), id, seq) {
+            self.send_now(seq, frame);
+            return Submitted::Replied;
         }
-        let fields = crate::json::scan_top_level(line).expect("validated by scan_envelope");
-        let (inserts, deletes) = match wire::parse_mutate_edits(&fields) {
+        let (inserts, deletes) = match wire::parse_mutate_edits(line, &pre) {
             Ok(edits) => edits,
             Err(e) => {
                 self.send_now(seq, wire::error_frame(id, seq, None, &e.to_json_line()));
@@ -1496,7 +1449,7 @@ impl Submitter {
                     self.shared.idempotency.lock().unwrap().insert(
                         key,
                         CachedReply {
-                            kind: ReplyKind::Mutated,
+                            frame_type: "mutated",
                             payload: payload.clone(),
                         },
                     );
@@ -1515,9 +1468,15 @@ impl Submitter {
     /// (sharing the interned `Arc<Instance>`), so workers pay no codec
     /// or graph-build cost and multi-worker scheduling cannot reorder a
     /// solve ahead of the upload it references.
-    fn enqueue_handle(&self, envelope: Envelope, seq: u64, line: &str) -> Submitted {
+    fn enqueue_handle(
+        &self,
+        envelope: Envelope,
+        seq: u64,
+        line: &str,
+        pre: wire::PreScan,
+    ) -> Submitted {
         let handle = envelope.handle.as_deref().expect("checked by submit_line");
-        let hash = wire::parse_handle(handle).expect("validated by scan_envelope");
+        let hash = wire::parse_handle(handle).expect("validated by the ingest scan");
         let instance = self
             .shared
             .handles
@@ -1534,10 +1493,8 @@ impl Submitter {
             self.send_now(seq, wire::error_frame(&envelope.id, seq, None, &payload));
             return Submitted::Replied;
         };
-        match wire::parse_request_with_instance(line, instance) {
-            Ok((_, request)) => {
-                self.enqueue(envelope, seq, Payload::Parsed(Box::new(request)), None)
-            }
+        match wire::parse_handle_request(line, &pre, instance) {
+            Ok(request) => self.enqueue(envelope, seq, Payload::Parsed(Box::new(request))),
             Err(e) => {
                 self.send_now(
                     seq,
@@ -2917,8 +2874,72 @@ mod tests {
         let frame = rx.recv().unwrap();
         assert!(frame.contains("\"type\":\"solution\""), "{frame}");
         assert_eq!(server.stats().parse_fallbacks, 1);
+        let live = split_reply(&frame).unwrap().payload.unwrap().to_owned();
+
+        // an upload spelling an endpoint `0.0` interns the same instance
+        // as its canonical twin — same handle, same payload — and is the
+        // one of the pair that falls back
+        let canonical = r#"{"v":1,"type":"upload","id":"u","instance":{"kind":"host","nodes":4,"edges":[[0,1],[1,2],[2,3],[3,0]]}}"#;
+        let mut uploaded = Vec::new();
+        for (upload, fallbacks) in [
+            (canonical.to_owned(), 1),
+            (canonical.replace("[3,0]", "[3,0.0]"), 2),
+        ] {
+            assert_eq!(tx.submit_line(&upload), Submitted::Replied);
+            let frame = rx.recv().unwrap();
+            let reply = split_reply(&frame).expect(&frame);
+            assert_eq!(reply.frame_type, "uploaded", "{frame}");
+            uploaded.push(reply.payload.unwrap().to_owned());
+            assert_eq!(server.stats().parse_fallbacks, fallbacks);
+        }
+        assert_eq!(uploaded[0], uploaded[1]);
         tx.finish();
         assert!(rx.recv().is_none());
         server.shutdown();
+
+        // a journaled exotic request killed before its reply is parsed
+        // from the recovery scan and replies byte-identically after the
+        // restart, counted as a fallback again
+        use crate::journal::{FsyncPolicy, Journal};
+        let path = temp_journal_path("exotic-recover");
+        let _ = std::fs::remove_file(&path);
+        let keyed = line.replace(r#""id":"x1","#, r#""id":"x1","idempotency_key":"exotic","#);
+        let journal = Arc::new(Journal::open(&path, FsyncPolicy::Never).unwrap());
+        let server = Server::start(ServerConfig {
+            journal: Some(Arc::clone(&journal)),
+            chaos: Some(ChaosConfig {
+                seed: 1,
+                process_kill: 1.0,
+                ..ChaosConfig::default()
+            }),
+            ..quiet_config()
+        });
+        let (mut tx, mut rx) = server.connect().split();
+        assert_eq!(tx.submit_line(&keyed), Submitted::Queued);
+        tx.finish();
+        assert!(rx.recv().is_none(), "the killed job's reply is lost");
+        server.halt();
+        drop(journal);
+        let journal = Arc::new(Journal::open(&path, FsyncPolicy::Never).unwrap());
+        let server = Server::start(ServerConfig {
+            journal: Some(Arc::clone(&journal)),
+            ..quiet_config()
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while journal.stats().completed < 1 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(2));
+        }
+        let (mut tx, mut rx) = server.connect().split();
+        assert_eq!(tx.submit_line(&keyed), Submitted::Replied);
+        let frame = rx.recv().unwrap();
+        let reply = split_reply(&frame).expect(&frame);
+        assert!(reply.replayed, "{frame}");
+        assert_eq!(reply.payload, Some(live.as_str()));
+        assert_eq!(server.stats().parse_fallbacks, 1);
+        tx.finish();
+        assert!(rx.recv().is_none());
+        server.shutdown();
+        drop(journal);
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -18,6 +18,7 @@ use splitgraph::{BipartiteGraph, Graph, MultiGraph};
 use splitting_api::render::JsonObject;
 use splitting_api::{ApiError, Instance, Pipeline, Problem, Request};
 use splitting_reductions::EdgeSplitEngine;
+use std::ops::Range;
 
 /// The wire protocol version this build speaks. Every frame carries
 /// `"v":1`; other versions are rejected with a typed error.
@@ -25,6 +26,11 @@ pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Hard cap on the `id` field, in bytes.
 pub const MAX_ID_BYTES: usize = 128;
+
+/// Hard cap on an instance's `left`, `right` and `nodes` counts, checked
+/// before any graph is allocated. Instance fingerprints pack node ids
+/// into 32 bits, so the cap must stay at or below 2^32.
+pub const MAX_NODES: usize = 1 << 24;
 
 /// Scheduling priority of a request. Workers always drain `high` before
 /// `normal` before `low`; within one lane, requests run in arrival order.
@@ -147,6 +153,21 @@ fn invalid(field: &'static str, reason: impl Into<String>) -> ApiError {
     }
 }
 
+/// The raw value of `key` among scanned `(key, raw-value)` fields.
+fn field<'a>(fields: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
+    fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+}
+
+/// A raw JSON value parsed as a string.
+fn json_string(raw: &str) -> Option<String> {
+    json::parse(raw).ok()?.as_str().map(str::to_owned)
+}
+
+/// A raw JSON value parsed as a number.
+fn json_number(raw: &str) -> Option<Number> {
+    json::parse(raw).ok()?.as_number()
+}
+
 const REQUEST_KEYS: &[&str] = &[
     "v",
     "type",
@@ -177,14 +198,10 @@ const MUTATE_KEYS: &[&str] = &[
 const PING_KEYS: &[&str] = &["v", "type", "id"];
 const SHUTDOWN_KEYS: &[&str] = &["v", "type"];
 
-fn check_version(raw: Option<&&str>) -> Result<(), ApiError> {
+fn check_version(raw: Option<&str>) -> Result<(), ApiError> {
     match raw {
         Some(raw) => {
-            let v = json::parse(raw)
-                .ok()
-                .and_then(|j| j.as_number())
-                .and_then(Number::as_u64);
-            if v == Some(PROTOCOL_VERSION) {
+            if json_number(raw).and_then(Number::as_u64) == Some(PROTOCOL_VERSION) {
                 Ok(())
             } else {
                 Err(invalid(
@@ -200,17 +217,14 @@ fn check_version(raw: Option<&&str>) -> Result<(), ApiError> {
     }
 }
 
-fn parse_id(raw: Option<&&str>) -> Result<String, ApiError> {
+fn parse_id(raw: Option<&str>) -> Result<String, ApiError> {
     let Some(raw) = raw else {
         return Err(invalid(
             "id",
             "request frames must carry a client-chosen id",
         ));
     };
-    let id = json::parse(raw)
-        .ok()
-        .and_then(|j| j.as_str().map(str::to_owned))
-        .ok_or_else(|| invalid("id", "id must be a JSON string"))?;
+    let id = json_string(raw).ok_or_else(|| invalid("id", "id must be a JSON string"))?;
     if id.is_empty() {
         return Err(invalid("id", "id must be non-empty"));
     }
@@ -223,13 +237,11 @@ fn parse_id(raw: Option<&&str>) -> Result<String, ApiError> {
     Ok(id)
 }
 
-fn parse_priority(raw: Option<&&str>) -> Result<Priority, ApiError> {
+fn parse_priority(raw: Option<&str>) -> Result<Priority, ApiError> {
     match raw {
         None => Ok(Priority::Normal),
         Some(raw) => {
-            let s = json::parse(raw)
-                .ok()
-                .and_then(|j| j.as_str().map(str::to_owned))
+            let s = json_string(raw)
                 .ok_or_else(|| invalid("priority", "priority must be a JSON string"))?;
             Priority::parse(&s).ok_or_else(|| {
                 invalid(
@@ -243,12 +255,10 @@ fn parse_priority(raw: Option<&&str>) -> Result<Priority, ApiError> {
 
 /// Parses a raw `"idempotency_key"` value (shared by request and mutate
 /// frames): a non-empty JSON string of at most [`MAX_ID_BYTES`] bytes.
-fn parse_idempotency_key(raw: Option<&&str>) -> Result<Option<String>, ApiError> {
+fn parse_idempotency_key(raw: Option<&str>) -> Result<Option<String>, ApiError> {
     let Some(raw) = raw else { return Ok(None) };
-    let key = json::parse(raw)
-        .ok()
-        .and_then(|j| j.as_str().map(str::to_owned))
-        .ok_or_else(|| invalid("idempotency_key", "must be a JSON string"))?;
+    let key =
+        json_string(raw).ok_or_else(|| invalid("idempotency_key", "must be a JSON string"))?;
     if key.is_empty() {
         return Err(invalid(
             "idempotency_key",
@@ -264,50 +274,63 @@ fn parse_idempotency_key(raw: Option<&&str>) -> Result<Option<String>, ApiError>
     Ok(Some(key))
 }
 
+/// `(key, value)` byte ranges of one object's fields within a scanned
+/// line.
+type FieldRanges = Vec<(Range<usize>, Range<usize>)>;
+
+/// One object's `(key, raw-value)` field slices.
+type Fields<'l> = Vec<(&'l str, &'l str)>;
+
+/// Everything the ingest scan harvested beyond the envelope, as byte
+/// ranges into the scanned line (ranges survive the ingest copy of the
+/// line into a job, slices would not). Every body parse reads from it —
+/// [`parse_request_prescanned`] for inline requests, and the server's
+/// parses of handle-form requests, uploads and mutations — so no line
+/// is scanned or classified twice.
+pub struct PreScan {
+    /// The classified envelope, for `request` frames.
+    envelope: Option<Envelope>,
+    /// Top-level `(key, value)` ranges of the frame.
+    fields: FieldRanges,
+    /// The instance object's own field ranges and its edge pairs, when
+    /// the canonical fast grammar served the whole object.
+    instance: Option<(FieldRanges, Vec<(usize, usize)>)>,
+}
+
+/// Restores the field slices a [`PreScan`] recorded for `line`.
+fn reslice<'l>(
+    line: &'l str,
+    ranges: &[(Range<usize>, Range<usize>)],
+) -> Result<Fields<'l>, ApiError> {
+    ranges
+        .iter()
+        .map(|(k, v)| Some((line.get(k.clone())?, line.get(v.clone())?)))
+        .collect::<Option<_>>()
+        .ok_or_else(|| invalid("frame", "the prescan was taken of a different line"))
+}
+
 /// Classifies one line and validates its envelope (`v`, `type`, `id`,
-/// `priority`, and key-set strictness) **without** parsing the problem or
-/// instance payloads — those are brace-skipped, so admission control on
-/// a megabyte-scale frame costs a single scan. The deferred payload is
-/// parsed strictly by the worker ([`parse_request`]); a body error then
-/// comes back as a typed error frame under this envelope's id.
+/// `priority`, and key-set strictness) **without** parsing the problem,
+/// instance or edit-list payloads — those are brace-skipped, so
+/// admission control on a megabyte-scale frame costs a single scan. The
+/// [`PreScan`] comes back for `request`, `upload` and `mutate` frames
+/// (`None` for the bodiless rest); their bodies are parsed from it, and
+/// a body error comes back as a typed error frame under this envelope's
+/// id.
 ///
 /// # Errors
 ///
 /// [`ApiError::InvalidRequest`] for anything that is not a structurally
 /// valid v1 client frame.
-pub fn scan_envelope(line: &str) -> Result<ClientFrame, ApiError> {
-    let fields = json::scan_top_level(line)
-        .map_err(|e| invalid("frame", format!("not a JSON object: {e}")))?;
-    classify_frame(&fields)
-}
-
-/// Everything the ingest scan harvested beyond the envelope, as byte
-/// ranges into the submitted line (ranges survive the ingest copy of
-/// the line into the job, slices would not). A worker holding this
-/// skips every byte of re-scanning: it reslices the fields, parses the
-/// small ones, and builds the graph straight from the pre-parsed edge
-/// pairs.
-pub struct PreScan {
-    /// Top-level `(key, value)` ranges of the frame.
-    pub fields: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)>,
-    /// `(key, value)` ranges of the instance object's own fields.
-    pub instance_fields: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)>,
-    /// Edge pairs parsed by the canonical fast grammar.
-    pub edge_pairs: Vec<(usize, usize)>,
-}
-
-/// [`scan_envelope`] plus a [`PreScan`] when the line is an
-/// inline-instance request frame whose instance the fused scan fully
-/// served. Classification and errors are byte-identical to
-/// [`scan_envelope`]; the prescan is a side harvest for the worker.
-///
-/// # Errors
-///
-/// Exactly the [`ApiError`]s of [`scan_envelope`].
 pub fn scan_envelope_prescanned(line: &str) -> Result<(ClientFrame, Option<PreScan>), ApiError> {
     let scan =
         json::scan_frame(line).map_err(|e| invalid("frame", format!("not a JSON object: {e}")))?;
     let frame = classify_frame(&scan.fields)?;
+    let envelope = match &frame {
+        ClientFrame::Request(envelope) => Some(envelope.clone()),
+        ClientFrame::Upload { .. } | ClientFrame::Mutate { .. } => None,
+        _ => return Ok((frame, None)),
+    };
     let base = line.as_ptr() as usize;
     let to_ranges = |fields: &[(&str, &str)]| {
         fields
@@ -319,28 +342,20 @@ pub fn scan_envelope_prescanned(line: &str) -> Result<(ClientFrame, Option<PreSc
             })
             .collect()
     };
-    let prescan = match (&frame, scan.instance_fields, scan.edge_pairs) {
-        (ClientFrame::Request(envelope), Some(instance_fields), Some(edge_pairs))
-            if envelope.handle.is_none() =>
-        {
-            Some(PreScan {
-                fields: to_ranges(&scan.fields),
-                instance_fields: to_ranges(&instance_fields),
-                edge_pairs,
-            })
-        }
-        _ => None,
+    let prescan = PreScan {
+        envelope,
+        fields: to_ranges(&scan.fields),
+        instance: scan
+            .instance
+            .map(|(fields, pairs)| (to_ranges(&fields), pairs)),
     };
-    Ok((frame, prescan))
+    Ok((frame, Some(prescan)))
 }
 
 /// Parses a raw `"handle"` value: a JSON string of exactly 32 lowercase
 /// hex digits (the rendering of [`instance_fingerprint`]).
 fn parse_handle_field(raw: &str) -> Result<String, ApiError> {
-    let handle = json::parse(raw)
-        .ok()
-        .and_then(|j| j.as_str().map(str::to_owned))
-        .ok_or_else(|| invalid("handle", "must be a JSON string"))?;
+    let handle = json_string(raw).ok_or_else(|| invalid("handle", "must be a JSON string"))?;
     if parse_handle(&handle).is_none() {
         return Err(invalid(
             "handle",
@@ -350,17 +365,15 @@ fn parse_handle_field(raw: &str) -> Result<String, ApiError> {
     Ok(handle)
 }
 
-/// [`scan_envelope`] over already-scanned top-level fields, so callers
-/// that need the field slices anyway (the full request parse, the
-/// ingest upload path) pay for one scan instead of two.
+/// The envelope half of [`scan_envelope_prescanned`], over the scanned
+/// top-level fields.
 fn classify_frame(fields: &[(&str, &str)]) -> Result<ClientFrame, ApiError> {
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+    let get = |key: &str| field(fields, key);
     check_version(get("v"))?;
     let ty = match get("type") {
-        Some(raw) => json::parse(raw)
-            .ok()
-            .and_then(|j| j.as_str().map(str::to_owned))
-            .ok_or_else(|| invalid("type", "type must be a JSON string"))?,
+        Some(raw) => {
+            json_string(raw).ok_or_else(|| invalid("type", "type must be a JSON string"))?
+        }
         None => return Err(invalid("type", "missing frame type")),
     };
     let allowed: &[&str] = match ty.as_str() {
@@ -389,23 +402,15 @@ fn classify_frame(fields: &[(&str, &str)]) -> Result<ClientFrame, ApiError> {
         "request" => {
             let id = parse_id(get("id"))?;
             let priority = parse_priority(get("priority"))?;
-            let deadline_ms = match get("deadline_ms") {
-                None => None,
-                Some(raw) => Some(
-                    json::parse(raw)
-                        .ok()
-                        .and_then(|j| j.as_number())
-                        .and_then(Number::as_u64)
-                        .ok_or_else(|| {
-                            invalid("deadline_ms", "must be an unsigned integer (milliseconds)")
-                        })?,
-                ),
-            };
+            let deadline_ms = get("deadline_ms")
+                .map(|raw| {
+                    json_number(raw).and_then(Number::as_u64).ok_or_else(|| {
+                        invalid("deadline_ms", "must be an unsigned integer (milliseconds)")
+                    })
+                })
+                .transpose()?;
             let idempotency_key = parse_idempotency_key(get("idempotency_key"))?;
-            let handle = match get("handle") {
-                None => None,
-                Some(raw) => Some(parse_handle_field(raw)?),
-            };
+            let handle = get("handle").map(parse_handle_field).transpose()?;
             if get("problem").is_none() {
                 return Err(invalid("problem", "request frames must carry a problem"));
             }
@@ -478,7 +483,7 @@ fn classify_frame(fields: &[(&str, &str)]) -> Result<ClientFrame, ApiError> {
         }
         "ping" => {
             let id = match get("id") {
-                Some(_) => parse_id(get("id"))?,
+                Some(raw) => parse_id(Some(raw))?,
                 None => String::new(),
             };
             Ok(ClientFrame::Ping { id })
@@ -490,25 +495,15 @@ fn classify_frame(fields: &[(&str, &str)]) -> Result<ClientFrame, ApiError> {
 // ------------------------------------------------------- request parsing
 
 fn field_str(fields: &[(&str, &str)], key: &'static str) -> Result<Option<String>, ApiError> {
-    match fields.iter().find(|(k, _)| *k == key) {
-        None => Ok(None),
-        Some((_, raw)) => json::parse(raw)
-            .ok()
-            .and_then(|j| j.as_str().map(str::to_owned))
-            .map(Some)
-            .ok_or_else(|| invalid(key, "must be a JSON string")),
-    }
+    field(fields, key)
+        .map(|raw| json_string(raw).ok_or_else(|| invalid(key, "must be a JSON string")))
+        .transpose()
 }
 
 fn field_number(fields: &[(&str, &str)], key: &'static str) -> Result<Option<Number>, ApiError> {
-    match fields.iter().find(|(k, _)| *k == key) {
-        None => Ok(None),
-        Some((_, raw)) => json::parse(raw)
-            .ok()
-            .and_then(|j| j.as_number())
-            .map(Some)
-            .ok_or_else(|| invalid(key, "must be a JSON number")),
-    }
+    field(fields, key)
+        .map(|raw| json_number(raw).ok_or_else(|| invalid(key, "must be a JSON number")))
+        .transpose()
 }
 
 fn obj_str(obj: &Json, key: &'static str, ctx: &'static str) -> Result<Option<String>, ApiError> {
@@ -647,53 +642,50 @@ fn parse_problem(raw: &str) -> Result<Problem, ApiError> {
     }
 }
 
-/// Parses a raw `"instance"` object (as sliced out of a frame by the
-/// envelope scan) into a typed [`Instance`], reporting whether the
-/// zero-copy edge scanner served the edge list (`false` = the strict
-/// fallback parser ran; the server counts those on its
-/// [`StatsSnapshot::parse_fallbacks`] gauge).
+/// Parses the `"instance"` object of a prescanned frame into a typed
+/// [`Instance`], reporting whether the zero-copy edge scanner served the
+/// edge list (`false` = the strict fallback parser ran; the server
+/// counts those on its [`StatsSnapshot::parse_fallbacks`] gauge). The
+/// ingest scan already decoded a canonically spelled instance; an
+/// exotic one is parsed here from the kept slice.
 ///
-/// # Errors
-///
-/// [`ApiError::InvalidRequest`] on the `instance` field. Edge-list error
-/// offsets are reported in the coordinate system of the instance object
-/// — the same one every other instance error uses — not of the inner
-/// edges slice.
-pub fn parse_instance_traced(raw: &str) -> Result<(Instance, bool), ApiError> {
-    let (fields, fused_pairs) = json::scan_object_with_edges(raw)
-        .map_err(|e| invalid("instance", format!("not a JSON object: {e}")))?;
-    parse_instance_from_parts(raw, &fields, fused_pairs)
-}
-
-/// [`parse_instance_traced`] over an already-scanned field list, so the
-/// prescanned ingest path ([`parse_request_prescanned`]) skips the
-/// object re-scan entirely. `fused_pairs` carries edge pairs the fused
-/// scan already parsed on the canonical fast grammar (`fast = true`).
-fn parse_instance_from_parts(
-    raw: &str,
+/// Edge-list error offsets are reported in the coordinate system of the
+/// instance object — the same one every other instance error uses —
+/// not of the inner edges slice.
+fn parse_instance(
+    line: &str,
     fields: &[(&str, &str)],
-    mut fused_pairs: Option<Vec<(usize, usize)>>,
+    prescanned: Option<(FieldRanges, Vec<(usize, usize)>)>,
 ) -> Result<(Instance, bool), ApiError> {
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+    let raw = field(fields, "instance").ok_or_else(|| invalid("instance", "missing instance"))?;
+    let (fields, mut fused_pairs) = match prescanned {
+        Some((ranges, pairs)) => (reslice(line, &ranges)?, Some(pairs)),
+        None => (
+            json::scan_top_level(raw)
+                .map_err(|e| invalid("instance", format!("not a JSON object: {e}")))?,
+            None,
+        ),
+    };
+    let get = |key: &str| field(&fields, key);
     let kind = match get("kind") {
-        Some(raw) => json::parse(raw)
-            .ok()
-            .and_then(|j| j.as_str().map(str::to_owned))
-            .ok_or_else(|| invalid("instance", "kind must be a JSON string"))?,
+        Some(raw) => {
+            json_string(raw).ok_or_else(|| invalid("instance", "kind must be a JSON string"))?
+        }
         None => return Err(invalid("instance", "missing instance kind")),
     };
-    let small_usize = |key: &'static str| -> Result<Option<usize>, ApiError> {
-        match get(key) {
-            None => Ok(None),
-            Some(raw) => json::parse(raw)
-                .ok()
-                .and_then(|j| j.as_number())
-                .and_then(Number::as_usize)
-                .map(Some)
-                .ok_or_else(|| {
-                    invalid("instance", format!("{key} must be a non-negative integer"))
-                }),
+    // every node count is bounded before a graph builder allocates for it
+    let node_count = |key: &'static str, missing: &'static str| -> Result<usize, ApiError> {
+        let raw = get(key).ok_or_else(|| invalid("instance", missing))?;
+        let n = json_number(raw)
+            .and_then(Number::as_usize)
+            .ok_or_else(|| invalid("instance", format!("{key} must be a non-negative integer")))?;
+        if n > MAX_NODES {
+            return Err(invalid(
+                "instance",
+                format!("{key} = {n} exceeds the {MAX_NODES}-node limit"),
+            ));
         }
+        Ok(n)
     };
     let mut edges = || -> Result<(Vec<(usize, usize)>, bool), ApiError> {
         match get("edges") {
@@ -713,7 +705,7 @@ fn parse_instance_from_parts(
         }
     };
     let check_keys = |allowed: &[&str]| -> Result<(), ApiError> {
-        for (key, _) in fields {
+        for (key, _) in &fields {
             if !allowed.contains(key) {
                 return Err(invalid(
                     "instance",
@@ -726,10 +718,8 @@ fn parse_instance_from_parts(
     match kind.as_str() {
         "bipartite" => {
             check_keys(&["kind", "left", "right", "edges"])?;
-            let left = small_usize("left")?
-                .ok_or_else(|| invalid("instance", "missing left (constraint count)"))?;
-            let right = small_usize("right")?
-                .ok_or_else(|| invalid("instance", "missing right (variable count)"))?;
+            let left = node_count("left", "missing left (constraint count)")?;
+            let right = node_count("right", "missing right (variable count)")?;
             let (pairs, fast) = edges()?;
             let b = BipartiteGraph::from_edges_bulk(left, right, &pairs)
                 .map_err(|e| invalid("instance", e.to_string()))?;
@@ -737,8 +727,7 @@ fn parse_instance_from_parts(
         }
         "host" => {
             check_keys(&["kind", "nodes", "edges"])?;
-            let n =
-                small_usize("nodes")?.ok_or_else(|| invalid("instance", "missing node count"))?;
+            let n = node_count("nodes", "missing node count")?;
             let (pairs, fast) = edges()?;
             let g = Graph::from_edges_bulk(n, &pairs)
                 .map_err(|e| invalid("instance", e.to_string()))?;
@@ -746,8 +735,7 @@ fn parse_instance_from_parts(
         }
         "multigraph" => {
             check_keys(&["kind", "nodes", "edges"])?;
-            let n =
-                small_usize("nodes")?.ok_or_else(|| invalid("instance", "missing node count"))?;
+            let n = node_count("nodes", "missing node count")?;
             let (endpoints, fast) = edges()?;
             // from_endpoints panics on out-of-range ids; validate first so
             // malformed frames stay typed errors
@@ -771,132 +759,82 @@ fn parse_instance_from_parts(
     }
 }
 
-/// Fully parses a `request` frame into its envelope and the typed
-/// [`Request`] the in-process API solves. Strict: unknown fields anywhere
-/// in the frame, the problem object, or the instance object are typed
+/// The envelope and top-level fields of a prescanned `request` frame,
+/// checked for the instance form the caller handles.
+fn request_fields<'l>(
+    line: &'l str,
+    pre: &PreScan,
+    by_handle: bool,
+) -> Result<(Envelope, Fields<'l>), ApiError> {
+    let envelope = pre
+        .envelope
+        .clone()
+        .ok_or_else(|| invalid("type", "expected a request frame"))?;
+    match (by_handle, envelope.handle.is_some()) {
+        (false, true) => Err(invalid(
+            "handle",
+            "instance handles are resolved by the server at admission; \
+             this parser needs an inline instance",
+        )),
+        (true, false) => Err(invalid(
+            "handle",
+            "this frame carries an inline instance; use parse_request_prescanned",
+        )),
+        _ => Ok((envelope, reslice(line, &pre.fields)?)),
+    }
+}
+
+/// Parses an inline-instance `request` frame from its ingest scan into
+/// its envelope and the typed [`Request`] the in-process API solves,
+/// plus the zero-copy tracing bit of the instance parse (`true` when
+/// the fast edge scanner served it). Strict: unknown fields anywhere in
+/// the frame, the problem object, or the instance object are typed
 /// errors (typos must not silently become defaults).
 ///
 /// # Errors
 ///
 /// [`ApiError::InvalidRequest`] describing the first offending field.
-pub fn parse_request(line: &str) -> Result<(Envelope, Request), ApiError> {
-    parse_request_traced(line).map(|(envelope, request, _)| (envelope, request))
-}
-
-/// [`parse_request`] plus the zero-copy tracing bit of
-/// [`parse_instance_traced`]: `true` when the fast edge scanner served
-/// the instance, `false` when the strict fallback ran. The worker loop
-/// uses this to maintain the fast-path fallback counter.
-///
-/// # Errors
-///
-/// As [`parse_request`]. Handle-form frames are an error here: the
-/// handle table lives in the server, which resolves handles at
-/// admission and enqueues an already-typed request.
-pub fn parse_request_traced(line: &str) -> Result<(Envelope, Request, bool), ApiError> {
-    let fields = json::scan_top_level(line)
-        .map_err(|e| invalid("frame", format!("not a JSON object: {e}")))?;
-    let envelope = match classify_frame(&fields)? {
-        ClientFrame::Request(envelope) => envelope,
-        other => {
-            return Err(invalid(
-                "type",
-                format!("expected a request frame, got {other:?}"),
-            ))
-        }
-    };
-    if envelope.handle.is_some() {
-        return Err(invalid(
-            "handle",
-            "instance handles are resolved by the server at admission; \
-             this parser needs an inline instance",
-        ));
-    }
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-    let problem = parse_problem(get("problem").expect("checked by classify_frame"))?;
-    let (instance, fast) =
-        parse_instance_traced(get("instance").expect("checked by classify_frame"))?;
-    let request = apply_policy_fields(&fields, &envelope, Request::new(problem, instance))?;
-    Ok((envelope, request, fast))
-}
-
-/// [`parse_request_traced`] fed by the ingest thread's [`PreScan`]: no
-/// byte of the line is re-scanned — the field slices are restored from
-/// the recorded ranges and the edge list was already parsed by the
-/// fused fast grammar (so `fast` is `true` by construction). Falls back
-/// to the full parse if the ranges do not reslice cleanly (they always
-/// do for a prescan built from the same line content).
-///
-/// # Errors
-///
-/// As [`parse_request_traced`] — the prescan carries no validation the
-/// full parse would not redo identically.
+/// Handle-form frames are an error here: the handle table lives in the
+/// server, which resolves handles at admission.
 pub fn parse_request_prescanned(
     line: &str,
     pre: PreScan,
 ) -> Result<(Envelope, Request, bool), ApiError> {
-    let reslice = |ranges: &[(std::ops::Range<usize>, std::ops::Range<usize>)]| {
-        ranges
-            .iter()
-            .map(|(k, v)| Some((line.get(k.clone())?, line.get(v.clone())?)))
-            .collect::<Option<Vec<(&str, &str)>>>()
-    };
-    let (Some(fields), Some(instance_fields)) =
-        (reslice(&pre.fields), reslice(&pre.instance_fields))
-    else {
-        return parse_request_traced(line);
-    };
-    let envelope = match classify_frame(&fields)? {
-        ClientFrame::Request(envelope) => envelope,
-        other => {
-            return Err(invalid(
-                "type",
-                format!("expected a request frame, got {other:?}"),
-            ))
-        }
-    };
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-    let problem = parse_problem(get("problem").expect("checked by classify_frame"))?;
-    let raw = get("instance").expect("checked by classify_frame");
-    let (instance, fast) = parse_instance_from_parts(raw, &instance_fields, Some(pre.edge_pairs))?;
+    let (envelope, fields) = request_fields(line, &pre, false)?;
+    let problem = parse_problem(field(&fields, "problem").expect("checked by classify_frame"))?;
+    let (instance, fast) = parse_instance(line, &fields, pre.instance)?;
     let request = apply_policy_fields(&fields, &envelope, Request::new(problem, instance))?;
     Ok((envelope, request, fast))
 }
 
-/// Parses a handle-form `request` frame against its already-resolved
-/// shared instance: everything [`parse_request`] does, except that the
-/// instance comes from the server's handle table (structurally shared,
-/// no per-request graph allocation) instead of the frame body.
+/// Parses a handle-form `request` frame from its ingest scan against
+/// its already-resolved shared instance: everything
+/// [`parse_request_prescanned`] does, except that the instance comes
+/// from the server's handle table (structurally shared, no per-request
+/// graph allocation) instead of the frame body.
 ///
 /// # Errors
 ///
 /// [`ApiError::InvalidRequest`] for frames that are not handle-form
-/// requests or whose policy fields are malformed.
-pub fn parse_request_with_instance(
+/// requests or whose problem or policy fields are malformed.
+pub(crate) fn parse_handle_request(
     line: &str,
+    pre: &PreScan,
     instance: std::sync::Arc<Instance>,
-) -> Result<(Envelope, Request), ApiError> {
-    let fields = json::scan_top_level(line)
-        .map_err(|e| invalid("frame", format!("not a JSON object: {e}")))?;
-    let envelope = match classify_frame(&fields)? {
-        ClientFrame::Request(envelope) => envelope,
-        other => {
-            return Err(invalid(
-                "type",
-                format!("expected a request frame, got {other:?}"),
-            ))
-        }
-    };
-    if envelope.handle.is_none() {
-        return Err(invalid(
-            "handle",
-            "this frame carries an inline instance; use parse_request",
-        ));
-    }
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-    let problem = parse_problem(get("problem").expect("checked by classify_frame"))?;
-    let request = apply_policy_fields(&fields, &envelope, Request::from_shared(problem, instance))?;
-    Ok((envelope, request))
+) -> Result<Request, ApiError> {
+    let (envelope, fields) = request_fields(line, pre, true)?;
+    let problem = parse_problem(field(&fields, "problem").expect("checked by classify_frame"))?;
+    apply_policy_fields(&fields, &envelope, Request::from_shared(problem, instance))
+}
+
+/// Parses the instance an `upload` frame carries from its ingest scan,
+/// with the fast-path bit of [`parse_request_prescanned`].
+///
+/// # Errors
+///
+/// [`ApiError::InvalidRequest`] on the `instance` field.
+pub(crate) fn parse_upload(line: &str, pre: PreScan) -> Result<(Instance, bool), ApiError> {
+    parse_instance(line, &reslice(line, &pre.fields)?, pre.instance)
 }
 
 /// Applies the policy tail of a request frame — determinism, seed,
@@ -1069,11 +1007,11 @@ fn render_problem(problem: &Problem) -> String {
 }
 
 /// Renders a [`Request`] as a canonical v1 `request` frame — the
-/// client-side encoder. [`parse_request`] inverts it exactly
+/// client-side encoder. [`parse_request_prescanned`] inverts it exactly
 /// (round-trip-tested), so in-process callers can go over the wire
 /// without hand-writing JSON.
 pub fn render_request(id: &str, priority: Priority, request: &Request) -> String {
-    render_request_with_key(id, priority, None, request)
+    request_frame(id, priority, None, None, request)
 }
 
 /// [`render_request`] with an optional client-supplied idempotency key
@@ -1085,33 +1023,7 @@ pub fn render_request_with_key(
     idempotency_key: Option<&str>,
     request: &Request,
 ) -> String {
-    let problem = render_problem(request.problem());
-    let instance = render_instance(request.instance());
-    let mut obj = JsonObject::new();
-    obj.uint("v", PROTOCOL_VERSION)
-        .string("type", "request")
-        .string("id", id)
-        .string("priority", priority.name());
-    if let Some(key) = idempotency_key {
-        obj.string("idempotency_key", key);
-    }
-    obj.raw("problem", &problem)
-        .raw("instance", &instance)
-        .string("determinism", request.determinism().name())
-        .uint("seed", request.master_seed());
-    if let Some(p) = request.pipeline_override() {
-        obj.string("force_pipeline", p.name());
-    }
-    if let Some(r) = request.budget().max_rounds {
-        obj.float("max_rounds", r);
-    }
-    if let Some(a) = request.budget().attempts {
-        obj.uint("attempts", a as u64);
-    }
-    if let Some(ms) = request.budget().deadline_ms {
-        obj.uint("deadline_ms", ms);
-    }
-    obj.finish()
+    request_frame(id, priority, idempotency_key, None, request)
 }
 
 /// Renders a `request` frame that references an interned instance by
@@ -1124,15 +1036,33 @@ pub fn render_request_with_handle(
     handle: &str,
     request: &Request,
 ) -> String {
-    let problem = render_problem(request.problem());
+    request_frame(id, priority, None, Some(handle), request)
+}
+
+/// The one `request` frame body: envelope, optional idempotency key,
+/// problem, then the handle or the inline instance, then the policy
+/// tail.
+fn request_frame(
+    id: &str,
+    priority: Priority,
+    idempotency_key: Option<&str>,
+    handle: Option<&str>,
+    request: &Request,
+) -> String {
     let mut obj = JsonObject::new();
     obj.uint("v", PROTOCOL_VERSION)
         .string("type", "request")
         .string("id", id)
-        .string("priority", priority.name())
-        .raw("problem", &problem)
-        .string("handle", handle)
-        .string("determinism", request.determinism().name())
+        .string("priority", priority.name());
+    if let Some(key) = idempotency_key {
+        obj.string("idempotency_key", key);
+    }
+    obj.raw("problem", &render_problem(request.problem()));
+    match handle {
+        Some(handle) => obj.string("handle", handle),
+        None => obj.raw("instance", &render_instance(request.instance())),
+    };
+    obj.string("determinism", request.determinism().name())
         .uint("seed", request.master_seed());
     if let Some(p) = request.pipeline_override() {
         obj.string("force_pipeline", p.name());
@@ -1219,17 +1149,21 @@ pub fn render_mutate_with_key(
 /// One edit list of a `mutate` frame: `(left, right)` edge endpoints.
 pub type EditList = Vec<(usize, usize)>;
 
-/// Parses the edit lists of a `mutate` frame out of its already-scanned
-/// top-level fields: `(inserts, deletes)`, each `[]` when the frame
-/// omitted the list. Edits ride the same `[[u,v],...]` grammar as
-/// instance edge lists (and the same fast scanner).
+/// Parses the edit lists of a `mutate` frame from its ingest scan:
+/// `(inserts, deletes)`, each `[]` when the frame omitted the list.
+/// Edits ride the same `[[u,v],...]` grammar as instance edge lists
+/// (and the same fast scanner).
 ///
 /// # Errors
 ///
 /// [`ApiError::InvalidRequest`] on a malformed list.
-pub fn parse_mutate_edits(fields: &[(&str, &str)]) -> Result<(EditList, EditList), ApiError> {
+pub(crate) fn parse_mutate_edits(
+    line: &str,
+    pre: &PreScan,
+) -> Result<(EditList, EditList), ApiError> {
+    let fields = reslice(line, &pre.fields)?;
     let list = |key: &'static str| -> Result<EditList, ApiError> {
-        match fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v) {
+        match field(&fields, key) {
             None => Ok(Vec::new()),
             Some(slice) => json::scan_edge_pairs(slice)
                 .map(|(pairs, _)| pairs)
@@ -1441,13 +1375,14 @@ pub struct Timing {
     pub solve_ns: u64,
 }
 
+/// The one reply-frame body: envelope, optional timings and replay
+/// marker, then the payload under a key named like the frame type.
 fn reply_frame(
     frame_type: &str,
     id: &str,
     seq: u64,
     timing: Option<Timing>,
     replayed: bool,
-    payload_key: &str,
     payload: &str,
 ) -> String {
     let mut obj = JsonObject::new();
@@ -1464,7 +1399,7 @@ fn reply_frame(
     }
     // the payload is always the LAST field so tests and clients can
     // extract it byte-exactly with `embedded_payload`
-    obj.raw(payload_key, payload);
+    obj.raw(frame_type, payload);
     obj.finish()
 }
 
@@ -1472,31 +1407,22 @@ fn reply_frame(
 /// [`Solution::to_json_line`](splitting_api::Solution::to_json_line)
 /// payload (embedded verbatim).
 pub fn solution_frame(id: &str, seq: u64, timing: Option<Timing>, payload: &str) -> String {
-    reply_frame("solution", id, seq, timing, false, "solution", payload)
+    reply_frame("solution", id, seq, timing, false, payload)
 }
 
 /// Assembles an `error` reply frame around a rendered
 /// [`ApiError::to_json_line`] payload (embedded verbatim).
 pub fn error_frame(id: &str, seq: u64, timing: Option<Timing>, payload: &str) -> String {
-    reply_frame("error", id, seq, timing, false, "error", payload)
+    reply_frame("error", id, seq, timing, false, payload)
 }
 
-/// Assembles a reply frame served from the idempotency cache: same
-/// shape as [`solution_frame`]/[`error_frame`] (the cached payload is
-/// embedded byte-for-byte, still the last field) plus a
-/// `"replayed":true` marker before the payload. Timings are omitted —
-/// nothing was queued or solved.
-pub fn replayed_frame(solution: bool, id: &str, seq: u64, payload: &str) -> String {
-    let key = if solution { "solution" } else { "error" };
-    reply_frame(key, id, seq, None, true, key, payload)
-}
-
-/// Assembles a `mutated` reply frame served from the idempotency cache:
-/// same shape as [`mutated_frame`] plus the `"replayed":true` marker
-/// before the payload. Nothing was re-patched — the cached payload
-/// (including the moved handle) is embedded byte-for-byte.
-pub fn replayed_mutated_frame(id: &str, seq: u64, payload: &str) -> String {
-    reply_frame("mutated", id, seq, None, true, "mutated", payload)
+/// Assembles a reply frame served from the idempotency cache: the
+/// cached reply's `frame_type` (`solution`, `error` or `mutated`) with
+/// its payload embedded byte-for-byte, still the last field, plus a
+/// `"replayed":true` marker before it. Timings are omitted — nothing
+/// was queued, solved or re-patched.
+pub fn replayed_frame(frame_type: &str, id: &str, seq: u64, payload: &str) -> String {
+    reply_frame(frame_type, id, seq, None, true, payload)
 }
 
 /// Renders the payload of an `uploaded` reply: the handle, the interned
@@ -1565,13 +1491,13 @@ pub fn mutated_payload(
 /// payload). Timings are omitted — interning happens at ingest, nothing
 /// is queued or solved.
 pub fn uploaded_frame(id: &str, seq: u64, payload: &str) -> String {
-    reply_frame("uploaded", id, seq, None, false, "uploaded", payload)
+    reply_frame("uploaded", id, seq, None, false, payload)
 }
 
 /// Assembles a `released` reply frame around a rendered
 /// [`released_payload`].
 pub fn released_frame(id: &str, seq: u64, payload: &str) -> String {
-    reply_frame("released", id, seq, None, false, "released", payload)
+    reply_frame("released", id, seq, None, false, payload)
 }
 
 /// Assembles a `mutated` reply frame around a rendered
@@ -1579,7 +1505,7 @@ pub fn released_frame(id: &str, seq: u64, payload: &str) -> String {
 /// payload). Timings are omitted — patching happens at ingest, nothing
 /// is queued or solved.
 pub fn mutated_frame(id: &str, seq: u64, payload: &str) -> String {
-    reply_frame("mutated", id, seq, None, false, "mutated", payload)
+    reply_frame("mutated", id, seq, None, false, payload)
 }
 
 /// A point-in-time service snapshot, reported on heartbeat frames.
@@ -1694,7 +1620,7 @@ pub struct Reply<'a> {
 /// Returns `None` when `frame` is not a well-formed v1 reply frame.
 pub fn split_reply(frame: &str) -> Option<Reply<'_>> {
     let fields = json::scan_top_level(frame).ok()?;
-    let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+    let get = |key: &str| field(&fields, key);
     let v = json::parse(get("v")?).ok()?.as_number()?.as_u64()?;
     if v != PROTOCOL_VERSION {
         return None;
@@ -1719,11 +1645,7 @@ pub fn split_reply(frame: &str) -> Option<Reply<'_>> {
             Some(raw) => json::parse(raw).ok()?.as_bool()?,
         };
     let payload = match frame_type.as_str() {
-        "solution" => Some(get("solution")?),
-        "error" => Some(get("error")?),
-        "uploaded" => Some(get("uploaded")?),
-        "released" => Some(get("released")?),
-        "mutated" => Some(get("mutated")?),
+        "solution" | "error" | "uploaded" | "released" | "mutated" => Some(get(&frame_type)?),
         "heartbeat" => None,
         _ => return None,
     };
@@ -1744,11 +1666,35 @@ mod tests {
     use rand::SeedableRng;
     use splitgraph::generators;
 
+    /// The envelope half of the ingest scan.
+    fn classify(line: &str) -> Result<ClientFrame, ApiError> {
+        scan_envelope_prescanned(line).map(|(frame, _)| frame)
+    }
+
+    /// The whole ingest path of an inline request frame: one scan, then
+    /// the body parse from it.
+    fn parse(line: &str) -> Result<(Envelope, Request), ApiError> {
+        let pre = scan_envelope_prescanned(line)?
+            .1
+            .expect("request frames carry a prescan");
+        parse_request_prescanned(line, pre).map(|(envelope, request, _)| (envelope, request))
+    }
+
+    /// Parses a bare instance object through an `upload` frame, so its
+    /// error offsets stay relative to the instance text.
+    fn instance(raw: &str) -> Result<(Instance, bool), ApiError> {
+        let line = format!(r#"{{"v":1,"type":"upload","id":"i","instance":{raw}}}"#);
+        let pre = scan_envelope_prescanned(&line)?
+            .1
+            .expect("uploads carry a prescan");
+        parse_upload(&line, pre)
+    }
+
     #[test]
     fn envelope_scan_classifies_frames() {
         let line = r#"{"v":1,"type":"request","id":"r1","priority":"high","problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#;
         assert_eq!(
-            scan_envelope(line).unwrap(),
+            classify(line).unwrap(),
             ClientFrame::Request(Envelope {
                 id: "r1".into(),
                 priority: Priority::High,
@@ -1758,11 +1704,11 @@ mod tests {
             })
         );
         assert_eq!(
-            scan_envelope(r#"{"v":1,"type":"ping"}"#).unwrap(),
+            classify(r#"{"v":1,"type":"ping"}"#).unwrap(),
             ClientFrame::Ping { id: String::new() }
         );
         assert_eq!(
-            scan_envelope(r#"{"v":1,"type":"shutdown"}"#).unwrap(),
+            classify(r#"{"v":1,"type":"shutdown"}"#).unwrap(),
             ClientFrame::Shutdown
         );
     }
@@ -1802,7 +1748,7 @@ mod tests {
             ),
             (r#"{"v":1,"type":"shutdown","id":"x"}"#, "frame"),
         ] {
-            match scan_envelope(line) {
+            match classify(line) {
                 Err(ApiError::InvalidRequest { field: f, .. }) => {
                     assert_eq!(f, field, "line {line}")
                 }
@@ -1813,7 +1759,7 @@ mod tests {
 
     fn roundtrip(request: Request) {
         let line = render_request("rt", Priority::Low, &request);
-        let (envelope, parsed) = parse_request(&line).expect(&line);
+        let (envelope, parsed) = parse(&line).expect(&line);
         assert_eq!(envelope.id, "rt");
         assert_eq!(envelope.priority, Priority::Low);
         assert_eq!(&parsed, &request, "wire round-trip changed the request");
@@ -2009,13 +1955,13 @@ mod tests {
             keyed.contains(r#""idempotency_key":"retry-abc""#),
             "{keyed}"
         );
-        let (envelope, parsed) = parse_request(&keyed).unwrap();
+        let (envelope, parsed) = parse(&keyed).unwrap();
         assert_eq!(envelope.idempotency_key.as_deref(), Some("retry-abc"));
         // the key is transport metadata: the solved Request is identical
         // to the keyless rendering's, so the solve (and its bytes)
         // cannot depend on it
         let plain = render_request("k1", Priority::Normal, &request);
-        let (plain_env, plain_parsed) = parse_request(&plain).unwrap();
+        let (plain_env, plain_parsed) = parse(&plain).unwrap();
         assert_eq!(plain_env.idempotency_key, None);
         assert_eq!(parsed, plain_parsed);
     }
@@ -2025,7 +1971,7 @@ mod tests {
         let handle = "0123456789abcdef0123456789abcdef";
         let keyed = render_mutate_with_key("m1", handle, Some("retry-m"), &[(0, 1)], &[]);
         assert!(keyed.contains(r#""idempotency_key":"retry-m""#), "{keyed}");
-        match scan_envelope(&keyed).unwrap() {
+        match classify(&keyed).unwrap() {
             ClientFrame::Mutate {
                 id,
                 handle: h,
@@ -2044,7 +1990,7 @@ mod tests {
             plain,
             render_mutate_with_key("m1", handle, None, &[(0, 1)], &[])
         );
-        match scan_envelope(&plain).unwrap() {
+        match classify(&plain).unwrap() {
             ClientFrame::Mutate {
                 idempotency_key, ..
             } => assert_eq!(idempotency_key, None),
@@ -2054,41 +2000,32 @@ mod tests {
         let empty = format!(
             r#"{{"v":1,"type":"mutate","id":"m","handle":"{handle}","idempotency_key":"","inserts":[[0,1]]}}"#
         );
-        assert_eq!(scan_envelope(&empty).unwrap_err().kind(), "invalid-request");
+        assert_eq!(classify(&empty).unwrap_err().kind(), "invalid-request");
         let non_string = format!(
             r#"{{"v":1,"type":"mutate","id":"m","handle":"{handle}","idempotency_key":7,"inserts":[[0,1]]}}"#
         );
-        assert_eq!(
-            scan_envelope(&non_string).unwrap_err().kind(),
-            "invalid-request"
-        );
+        assert_eq!(classify(&non_string).unwrap_err().kind(), "invalid-request");
     }
 
     #[test]
     fn envelope_scan_surfaces_the_deadline_budget() {
         let line = r#"{"v":1,"type":"request","id":"d1","deadline_ms":250,"problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[]}}"#;
-        match scan_envelope(line).unwrap() {
+        match classify(line).unwrap() {
             ClientFrame::Request(envelope) => assert_eq!(envelope.deadline_ms, Some(250)),
             other => panic!("expected a request frame, got {other:?}"),
         }
-        let (_, request) = parse_request(line).unwrap();
+        let (_, request) = parse(line).unwrap();
         assert_eq!(request.budget().deadline_ms, Some(250));
     }
 
     #[test]
     fn unknown_problem_and_instance_fields_are_typed_errors() {
         let bad_problem = r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis","basedegree":4},"instance":{"kind":"host","nodes":1,"edges":[]}}"#;
-        assert_eq!(
-            parse_request(bad_problem).unwrap_err().kind(),
-            "invalid-request"
-        );
+        assert_eq!(parse(bad_problem).unwrap_err().kind(), "invalid-request");
         let bad_instance = r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"host","nodes":1,"edges":[],"n":1}}"#;
-        assert_eq!(
-            parse_request(bad_instance).unwrap_err().kind(),
-            "invalid-request"
-        );
+        assert_eq!(parse(bad_instance).unwrap_err().kind(), "invalid-request");
         let bad_edge = r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"multigraph","nodes":2,"edges":[[0,5]]}}"#;
-        let err = parse_request(bad_edge).unwrap_err();
+        let err = parse(bad_edge).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
     }
 
@@ -2117,7 +2054,7 @@ mod tests {
     #[test]
     fn replayed_frames_keep_the_payload_last_and_flag_before_it() {
         let payload = r#"{"event":"solution","x":1}"#;
-        let frame = replayed_frame(true, "r9", 4, payload);
+        let frame = replayed_frame("solution", "r9", 4, payload);
         assert_eq!(
             frame,
             r#"{"v":1,"type":"solution","id":"r9","seq":4,"replayed":true,"solution":{"event":"solution","x":1}}"#
@@ -2204,7 +2141,7 @@ mod tests {
         let request = Request::new(Problem::Mis { base_degree: None }, g).seed(3);
         let handle = render_handle(instance_fingerprint(request.instance()));
         let line = render_request_with_handle("h1", Priority::Normal, &handle, &request);
-        match scan_envelope(&line).unwrap() {
+        match classify(&line).unwrap() {
             ClientFrame::Request(envelope) => {
                 assert_eq!(envelope.id, "h1");
                 assert_eq!(envelope.handle.as_deref(), Some(handle.as_str()));
@@ -2212,18 +2149,18 @@ mod tests {
             other => panic!("expected a request frame, got {other:?}"),
         }
         // the inline-only parser refuses handle frames with a typed error
-        let err = parse_request(&line).unwrap_err();
+        let err = parse(&line).unwrap_err();
         assert_eq!(err.kind(), "invalid-request");
         assert!(err.to_string().contains("handle"), "{err}");
         // the resolved-instance parser reconstructs the same request
+        let pre = scan_envelope_prescanned(&line).unwrap().1.unwrap();
         let shared = std::sync::Arc::new(request.instance().clone());
-        let (envelope, parsed) = parse_request_with_instance(&line, shared).unwrap();
-        assert_eq!(envelope.id, "h1");
-        assert_eq!(parsed, request);
-        // and refuses inline frames, pointing callers at parse_request
+        assert_eq!(parse_handle_request(&line, &pre, shared).unwrap(), request);
+        // and refuses inline frames, pointing callers at the inline parser
         let inline = render_request("h1", Priority::Normal, &request);
+        let pre = scan_envelope_prescanned(&inline).unwrap().1.unwrap();
         let shared = std::sync::Arc::new(request.instance().clone());
-        let err = parse_request_with_instance(&inline, shared).unwrap_err();
+        let err = parse_handle_request(&inline, &pre, shared).unwrap_err();
         assert!(err.to_string().contains("inline"), "{err}");
     }
 
@@ -2233,13 +2170,13 @@ mod tests {
         let instance = Instance::from(g);
         let upload = render_upload("u1", &instance);
         assert_eq!(
-            scan_envelope(&upload).unwrap(),
+            classify(&upload).unwrap(),
             ClientFrame::Upload { id: "u1".into() }
         );
         let handle = render_handle(instance_fingerprint(&instance));
         let release = render_release("u2", &handle);
         assert_eq!(
-            scan_envelope(&release).unwrap(),
+            classify(&release).unwrap(),
             ClientFrame::Release {
                 id: "u2".into(),
                 handle: handle.clone(),
@@ -2275,7 +2212,7 @@ mod tests {
                 "frame",
             ),
         ] {
-            match scan_envelope(&line) {
+            match classify(&line) {
                 Err(ApiError::InvalidRequest { field: f, .. }) => {
                     assert_eq!(f, field, "line {line}")
                 }
@@ -2323,7 +2260,7 @@ mod tests {
     #[test]
     fn edge_errors_report_offsets_into_the_instance_text() {
         let raw = r#"{"kind":"host","nodes":4,"edges":[[0,1],[1,x]]}"#;
-        let err = parse_instance_traced(raw).unwrap_err();
+        let err = instance(raw).unwrap_err();
         let expected = raw.find('x').unwrap();
         assert!(
             err.to_string().contains(&format!("at byte {expected}")),
@@ -2331,46 +2268,69 @@ mod tests {
         );
         // canonical encodings ride the fast scanner; exotic-but-valid
         // ones fall back but still parse
-        let (_, fast) =
-            parse_instance_traced(r#"{"kind":"host","nodes":4,"edges":[[0,1],[1,2]]}"#).unwrap();
+        let (_, fast) = instance(r#"{"kind":"host","nodes":4,"edges":[[0,1],[1,2]]}"#).unwrap();
         assert!(fast);
-        let (_, slow) =
-            parse_instance_traced(r#"{"kind":"host","nodes":4,"edges":[[0,1],[1,2.0]]}"#).unwrap();
+        let (_, slow) = instance(r#"{"kind":"host","nodes":4,"edges":[[0,1],[1,2.0]]}"#).unwrap();
         assert!(!slow);
     }
 
     #[test]
-    fn prescanned_requests_parse_identically_without_rescanning() {
+    fn prescans_survive_the_line_copy_and_cover_every_body_frame() {
         let mut rng = StdRng::seed_from_u64(41);
         let b = generators::random_biregular(8, 8, 4, &mut rng).unwrap();
         let request = Request::new(Problem::weak_splitting(), b).seed(9);
         let line = render_request("pre", Priority::High, &request);
         let (frame, prescan) = scan_envelope_prescanned(&line).unwrap();
-        assert_eq!(frame, scan_envelope(&line).unwrap());
-        let prescan = prescan.expect("canonical inline request must prescan");
+        let prescan = prescan.expect("request frames carry a prescan");
         // the job stores a copy of the line; ranges must survive it
         let copied = line.clone();
-        let (env_pre, req_pre, fast_pre) = parse_request_prescanned(&copied, prescan).unwrap();
-        let (env_full, req_full, fast_full) = parse_request_traced(&line).unwrap();
-        assert_eq!(env_pre, env_full);
-        assert!(fast_pre && fast_full);
-        assert_eq!(
-            request_fingerprint(&req_pre),
-            request_fingerprint(&req_full)
-        );
+        let (envelope, parsed, fast) = parse_request_prescanned(&copied, prescan).unwrap();
+        assert_eq!(frame, ClientFrame::Request(envelope));
+        assert!(fast, "canonical instances are decoded by the scan");
+        assert_eq!(parsed, request);
 
-        // exotic edge spellings, handle-form requests, and non-request
-        // frames never carry a prescan — those paths re-parse as before
-        let exotic = r#"{"v":1,"type":"request","id":"x","problem":{"name":"weak_splitting"},"instance":{"kind":"host","nodes":4,"edges":[[0,1],[1,2.0]]}}"#;
-        let (_, none) = scan_envelope_prescanned(exotic).unwrap();
-        assert!(none.is_none(), "exotic spelling must not prescan");
-        let (instance, _) =
-            parse_instance_traced(r#"{"kind":"host","nodes":2,"edges":[[0,1]]}"#).unwrap();
-        let handle = render_handle(instance_fingerprint(&instance));
-        let with_handle = render_request_with_handle("pre", Priority::Normal, &handle, &request);
-        let (_, none) = scan_envelope_prescanned(&with_handle).unwrap();
-        assert!(none.is_none(), "handle-form requests must not prescan");
+        // an exotic edge spelling still prescans its envelope and fields;
+        // the instance is parsed from the kept slice on the strict path
+        let canonical = r#"{"v":1,"type":"request","id":"x","problem":{"name":"mis"},"instance":{"kind":"host","nodes":4,"edges":[[0,1],[1,2]]}}"#;
+        let exotic = canonical.replace("[1,2]", "[1,2.0]");
+        let pre = scan_envelope_prescanned(&exotic).unwrap().1.unwrap();
+        let (_, slow, fast) = parse_request_prescanned(&exotic, pre).unwrap();
+        assert!(!fast, "exotic spellings take the strict fallback");
+        assert_eq!(slow, parse(canonical).unwrap().1);
+
+        // uploads and mutates carry a prescan; bodiless frames do not
+        let upload = render_upload("u", request.instance());
+        assert!(scan_envelope_prescanned(&upload).unwrap().1.is_some());
+        let handle = render_handle(instance_fingerprint(request.instance()));
+        let mutate = render_mutate("m", &handle, &[(0, 1)], &[]);
+        assert!(scan_envelope_prescanned(&mutate).unwrap().1.is_some());
+        let release = render_release("r", &handle);
+        assert!(scan_envelope_prescanned(&release).unwrap().1.is_none());
         let (_, none) = scan_envelope_prescanned(r#"{"v":1,"type":"ping","id":"p"}"#).unwrap();
-        assert!(none.is_none(), "pings must not prescan");
+        assert!(none.is_none(), "pings carry no body");
+
+        // a prescan applied to a different (shorter) line is a typed error
+        let pre = scan_envelope_prescanned(&line).unwrap().1.unwrap();
+        let err = parse_request_prescanned(r#"{"v":1}"#, pre).unwrap_err();
+        assert_eq!(err.kind(), "invalid-request");
+        // and an upload's prescan is not a request's
+        let pre = scan_envelope_prescanned(&upload).unwrap().1.unwrap();
+        assert!(parse_request_prescanned(&upload, pre).is_err());
+    }
+
+    #[test]
+    fn node_counts_past_the_wire_cap_are_typed_errors() {
+        let over = MAX_NODES + 1;
+        for raw in [
+            format!(r#"{{"kind":"bipartite","left":{over},"right":1,"edges":[]}}"#),
+            format!(r#"{{"kind":"bipartite","left":1,"right":{over},"edges":[]}}"#),
+            format!(r#"{{"kind":"host","nodes":{over},"edges":[]}}"#),
+            format!(r#"{{"kind":"multigraph","nodes":{over},"edges":[]}}"#),
+        ] {
+            let err = instance(&raw).unwrap_err();
+            assert_eq!(err.kind(), "invalid-request", "{raw}");
+            assert!(err.to_string().contains("node limit"), "{raw}: {err}");
+        }
+        assert!(instance(r#"{"kind":"bipartite","left":3,"right":2,"edges":[[0,1]]}"#).is_ok());
     }
 }

@@ -167,6 +167,20 @@ fn hostile_lines() -> Vec<(&'static str, String)> {
             r#"{"v":1,"type":"upload","id":"x","instance":{"kind":"host","nodes":2,"edges":[[0,5]]}}"#.into(),
         ),
         (
+            // node counts are bounded before any graph is allocated: an
+            // unchecked count this size aborts the process on allocation
+            "upload with an oversized bipartite side",
+            r#"{"v":1,"type":"upload","id":"big","instance":{"kind":"bipartite","left":100000000000000,"right":1,"edges":[]}}"#.into(),
+        ),
+        (
+            "inline host instance with an oversized node count",
+            r#"{"v":1,"type":"request","id":"big","problem":{"name":"mis"},"instance":{"kind":"host","nodes":100000000000000,"edges":[]}}"#.into(),
+        ),
+        (
+            "inline multigraph with an oversized node count",
+            r#"{"v":1,"type":"request","id":"big","problem":{"name":"mis"},"instance":{"kind":"multigraph","nodes":100000000000000,"edges":[]}}"#.into(),
+        ),
+        (
             "release without a handle",
             r#"{"v":1,"type":"release","id":"x"}"#.into(),
         ),
@@ -330,7 +344,7 @@ mod edge_scanner_differential {
             Ok(scan) => {
                 let plain = plain.expect("scan_frame accepted, scan_top_level rejected");
                 assert_eq!(scan.fields, plain, "fused fields diverge on {edges:?}");
-                if let Some(pairs) = &scan.edge_pairs {
+                if let Some((instance_fields, pairs)) = &scan.instance {
                     assert_eq!(
                         &json::parse_edge_pairs(edges).expect("capture implies strict accept"),
                         pairs,
@@ -343,8 +357,8 @@ mod edge_scanner_differential {
                         .expect("frame carries an instance")
                         .1;
                     assert_eq!(
-                        scan.instance_fields,
-                        Some(json::scan_top_level(instance).expect("instance scans")),
+                        instance_fields,
+                        &json::scan_top_level(instance).expect("instance scans"),
                         "captured instance fields diverge on {edges:?}"
                     );
                 }
