@@ -2095,6 +2095,216 @@ fn check_recovery(ctx: &mut Ctx<'_>) {
         },
     );
     let _ = std::fs::remove_file(&path);
+
+    check_recovery_by_handle(
+        ctx,
+        &requests,
+        &expected,
+        policy,
+        ChaosConfig {
+            seed: chaos_seed,
+            process_kill,
+            ..ChaosConfig::default()
+        },
+        kill_seq,
+        &path.with_extension("handles.journal"),
+    );
+}
+
+/// The recovery pass in handle form: the menu's distinct instances are
+/// uploaded, then the same keyed menu is sent by handle under the same
+/// `process_kill` schedule (same chaos seed, same connection and
+/// sequence numbers), so the same job dies. The journal holds each
+/// handle-form admission as its short wire line; after the restart
+/// every retry must replay (recovered) or solve (never admitted)
+/// byte-identically to the direct rendering.
+fn check_recovery_by_handle(
+    ctx: &mut Ctx<'_>,
+    requests: &[(&'static str, splitting_api::Request)],
+    expected: &[String],
+    policy: splitting_server::FsyncPolicy,
+    chaos: splitting_server::ChaosConfig,
+    kill_seq: usize,
+    path: &std::path::Path,
+) {
+    use splitting_server::{journal, wire, Admission, Journal, Priority, Server, ServerConfig};
+    use std::collections::HashSet;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    let s = ctx.scenario;
+    let _ = std::fs::remove_file(path);
+    let keys: Vec<String> = requests
+        .iter()
+        .map(|(name, _)| format!("{name}#{}#handle", s.seed))
+        .collect();
+    let lines: Vec<String> = requests
+        .iter()
+        .zip(&keys)
+        .map(|((name, request), key)| {
+            let handle = wire::render_handle(wire::instance_fingerprint(request.instance()));
+            // the canonical renderer puts the key right before `problem`
+            wire::render_request_with_handle(name, Priority::Normal, &handle, request).replacen(
+                "\"problem\":",
+                &format!("\"idempotency_key\":\"{key}\",\"problem\":"),
+                1,
+            )
+        })
+        .collect();
+    let config = ServerConfig {
+        workers: 1,
+        record_timings: false,
+        admission: Admission::Block,
+        ..ServerConfig::default()
+    };
+
+    // ---- pass 1: upload, then the keyed menu by handle; the kill fires
+    let journal1 = Arc::new(Journal::open(path, policy).expect("fresh journal opens"));
+    let server = Server::start(ServerConfig {
+        chaos: Some(chaos),
+        journal: Some(Arc::clone(&journal1)),
+        ..config.clone()
+    });
+    // the menu connection opens first, so it is connection 0 as in the
+    // inline pass; uploads answer inline on a connection of their own
+    let (mut tx, rx) = server.connect().split();
+    {
+        let (mut up_tx, mut up_rx) = server.connect().split();
+        let mut seen = HashSet::new();
+        for (name, request) in requests {
+            if seen.insert(wire::instance_fingerprint(request.instance())) {
+                up_tx.submit_line(&wire::render_upload(name, request.instance()));
+                let frame = up_rx.recv().unwrap_or_default();
+                ctx.check(
+                    "recovery.handle-upload-replied",
+                    frame.contains("\"type\":\"uploaded\""),
+                    || format!("{name}: upload not acknowledged: {frame}"),
+                );
+            }
+        }
+        up_tx.finish();
+    }
+    for line in &lines {
+        let _ = tx.submit_line(line);
+    }
+    tx.finish();
+    let delivered: Vec<String> = rx.collect();
+    ctx.check(
+        "recovery.handle-kill-fires-at-the-same-job",
+        server.killed() && delivered.len() == kill_seq,
+        || {
+            format!(
+                "kill at job {kill_seq} of the inline pass, but {} handle-form replies delivered",
+                delivered.len()
+            )
+        },
+    );
+    for (i, frame) in delivered.iter().enumerate() {
+        ctx.check(
+            "recovery.handle-pre-kill-replies-byte-identical",
+            wire::split_reply(frame).is_some_and(|r| r.payload == Some(expected[i].as_str())),
+            || format!("delivered handle-form frame {i} diverges: {frame}"),
+        );
+    }
+    server.halt();
+    drop(journal1);
+
+    // the journal holds every handle-form admission as its wire line,
+    // never as a rendered instance
+    let bytes = std::fs::read(path).expect("journal image readable");
+    let scanned = journal::scan(&bytes).expect("own journal must scan clean");
+    let is_request = |line: &str| line.contains("\"type\":\"request\"");
+    ctx.check(
+        "recovery.handle-admissions-journal-their-line",
+        scanned.records.iter().all(|r| match r {
+            journal::Record::Payload { line, .. } => {
+                !is_request(line)
+                    || (line.contains("\"handle\":") && !line.contains("\"instance\":"))
+            }
+            journal::Record::Admitted(_) | journal::Record::Completed { .. } => true,
+        }),
+        || "a handle-form admission was journaled with its instance".into(),
+    );
+    let pending = journal::incomplete(&scanned.records);
+    let recovered_keys: HashSet<String> = pending
+        .iter()
+        .filter_map(|r| r.idempotency_key.clone())
+        .collect();
+
+    // ---- pass 2: restart; the recovered handle-form jobs re-solve -----
+    let journal2 = Arc::new(Journal::open(path, policy).expect("journal reopens after kill"));
+    let server = Server::start(ServerConfig {
+        journal: Some(Arc::clone(&journal2)),
+        ..config
+    });
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while server.stats().served < recovered_keys.len() as u64 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    ctx.check(
+        "recovery.handle-recovered-jobs-complete",
+        server.stats().served >= recovered_keys.len() as u64,
+        || {
+            format!(
+                "only {} of {} recovered handle-form jobs completed within the bound",
+                server.stats().served,
+                recovered_keys.len()
+            )
+        },
+    );
+
+    // ---- pass 3: every keyed handle-form retry ------------------------
+    let (mut tx, rx) = server.connect().split();
+    for line in &lines {
+        let _ = tx.submit_line(line);
+    }
+    tx.finish();
+    let frames: Vec<String> = rx.collect();
+    ctx.check(
+        "recovery.handle-every-retry-answered",
+        frames.len() == requests.len(),
+        || format!("{} retries but {} replies", requests.len(), frames.len()),
+    );
+    for (i, frame) in frames.iter().enumerate() {
+        let (name, _) = &requests[i];
+        let reply = wire::split_reply(frame);
+        ctx.check(
+            "recovery.handle-retry-payload-byte-identical",
+            reply
+                .as_ref()
+                .is_some_and(|r| r.payload == Some(expected[i].as_str())),
+            || format!("{name}: handle-form retry diverges from the direct rendering: {frame}"),
+        );
+        ctx.check(
+            "recovery.handle-recovered-keys-replay-not-resolve",
+            reply.is_some_and(|r| r.replayed == recovered_keys.contains(&keys[i])),
+            || format!("{name}: replay flag disagrees with recovery: {frame}"),
+        );
+    }
+    server.drain();
+    server.shutdown();
+    drop(journal2);
+
+    // uploads stay incomplete on purpose (they rebuild the handle
+    // table); every handle-form solve completed
+    let final_bytes = std::fs::read(path).expect("final journal image");
+    let final_scan = journal::scan(&final_bytes).expect("final journal scans");
+    let solve_lines: HashSet<_> = final_scan
+        .records
+        .iter()
+        .filter_map(|r| match r {
+            journal::Record::Payload { hash, line } if is_request(line) => Some(*hash),
+            _ => None,
+        })
+        .collect();
+    ctx.check(
+        "recovery.handle-solves-complete",
+        journal::incomplete(&final_scan.records)
+            .iter()
+            .all(|r| !solve_lines.contains(&r.payload)),
+        || "a handle-form solve is still incomplete after the drain".into(),
+    );
+    let _ = std::fs::remove_file(path);
 }
 
 // ----------------------------------------------------------------- churn

@@ -65,12 +65,14 @@ pub const HEADER_LEN: usize = 12;
 /// admissible frame plus metadata is damage, not data.
 const MAX_RECORD_BYTES: usize = (64 << 20) + 4096;
 
-/// Under [`FsyncPolicy::Batch`], `fsync` once per this many appends.
-/// Admission and completion records are tens of bytes once payloads are
-/// interned, so this bounds the machine-crash loss window to ~64 KiB
-/// while keeping the fsync cost (~100µs on commodity storage) far off
-/// the per-request path. A process crash loses nothing regardless —
-/// every record reaches the kernel before the journal returns.
+/// Under [`FsyncPolicy::Batch`], `fsync` once per this many appended
+/// records, which keeps the fsync cost (~100µs on commodity storage)
+/// far off the per-request path. The machine-crash loss window is these
+/// 1024 records of any size — not a byte bound: admission references
+/// and completions are tens of bytes, but an `upload` or compaction
+/// snapshot record carries a whole instance (up to the frame limit). A
+/// process crash loses nothing regardless — every record reaches the
+/// kernel before the journal returns.
 const BATCH_SYNC_EVERY: u32 = 1024;
 
 const KIND_ADMITTED: u8 = 1;
@@ -794,10 +796,11 @@ impl Journal {
 
     /// [`Journal::append_admitted`] with a caller-computed content
     /// hash and a lazy payload renderer: `render` runs only when the
-    /// hash is not interned yet. This keeps the hot admission path
-    /// from serializing a payload the journal already stores — the
-    /// in-process server fingerprints parsed requests structurally
-    /// (`wire::request_fingerprint`) instead of rendering them.
+    /// hash is not interned yet. This keeps the admission path from
+    /// serializing a payload the journal already stores. Its one server
+    /// caller is `Submitter::submit_request`, whose typed requests have
+    /// no wire line: it fingerprints them structurally
+    /// (`wire::request_fingerprint`) and renders only on a miss.
     ///
     /// The caller owns the hash contract: two payloads may share a
     /// hash only if their rendered lines are byte-identical.

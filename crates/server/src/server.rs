@@ -97,7 +97,8 @@ pub struct ServerConfig {
     pub held_capacity: usize,
     /// Compact journaled state records (upload/mutate/release) once
     /// more than this many are outstanding (default 64; `0` disables
-    /// compaction): the interned-handle table is snapshotted as
+    /// compaction): the interned-handle table, plus any instance an
+    /// incomplete handle-form solve still cites, is snapshotted as
     /// synthetic upload records and the superseded history is marked
     /// completed, so recovery replays the snapshot plus the tail
     /// instead of every mutation ever applied.
@@ -129,9 +130,13 @@ enum Payload {
     /// A raw inline-request wire line and its ingest scan; the worker
     /// parses the body from the scan without re-reading the envelope.
     Wire(String, wire::PreScan),
-    /// An already-typed request (the in-process fast path used by the
-    /// benchmark harness to measure queue/worker machinery without
-    /// codec cost).
+    /// A handle-form request resolved at ingest: the request shares the
+    /// interned `Arc<Instance>`, and the hash is the handle it addressed
+    /// (the held-solution cache key). The journal holds its wire line.
+    Handle(Box<Request>, PayloadHash),
+    /// An already-typed request solved from scratch: the in-process
+    /// [`Submitter::submit_request`] path, and handle-form jobs
+    /// recovered from the journal (resolved against the replayed table).
     Parsed(Box<Request>),
 }
 
@@ -147,10 +152,6 @@ struct Job {
     /// Journal record id of this admission, when a journal is armed —
     /// completion is marked against it once the reply is delivered.
     journal_id: Option<u64>,
-    /// The interned-instance hash the request addressed, when it came
-    /// in handle form — the key the worker uses to find (or seed) the
-    /// held-solution cache entry for incremental churn repair.
-    handle_hash: Option<PayloadHash>,
     /// Client-supplied idempotency key; the delivered reply is cached
     /// under it so a retry replays instead of re-solving.
     idempotency_key: Option<String>,
@@ -281,6 +282,13 @@ struct Shared {
     /// [`Shared::maybe_compact_journal`] snapshots the interned-handle
     /// table and marks the superseded history completed.
     state_records: Mutex<Vec<u64>>,
+    /// The instance each journaled handle-form job resolved to, keyed
+    /// by its admitted record id until that record is completed. The
+    /// journal holds only the job's wire line, so recovery resolves its
+    /// handle again by content hash; [`Shared::maybe_compact_journal`]
+    /// therefore snapshots every pinned instance, including one that
+    /// was mutated away or released since admission.
+    pins: Mutex<HashMap<u64, (PayloadHash, Arc<Instance>)>>,
     /// `mutate` frames successfully applied (including journal replays).
     mutations_applied: AtomicU64,
     /// Held-solution updates served by the incremental repair path.
@@ -330,11 +338,7 @@ impl Shared {
         frame_type: &'static str,
         payload: String,
     ) {
-        if let (Some(journal), Some(record_id)) = (&self.config.journal, journal_id) {
-            // a failing completion append degrades durability (the job
-            // would be re-run after a crash), never availability
-            let _ = journal.mark_completed(record_id);
-        }
+        self.complete_record(journal_id);
         if let Some(key) = idempotency_key {
             self.idempotency.lock().unwrap().insert(
                 key,
@@ -344,6 +348,28 @@ impl Shared {
                 },
             );
         }
+    }
+
+    /// Marks a job's admitted record completed, then drops its pin (if
+    /// any) — in that order, so a compaction never sees an incomplete
+    /// handle-form record whose instance is neither live nor pinned.
+    fn complete_record(&self, journal_id: Option<u64>) {
+        let (Some(journal), Some(record_id)) = (&self.config.journal, journal_id) else {
+            return;
+        };
+        // a failing completion append degrades durability (the job
+        // would be re-run after a crash), never availability
+        let _ = journal.mark_completed(record_id);
+        self.pins.lock().unwrap().remove(&record_id);
+    }
+
+    /// Pins the instance a journaled handle-form job resolved to until
+    /// its record is completed (see [`Shared::pins`]).
+    fn pin(&self, record_id: u64, hash: PayloadHash, instance: &Arc<Instance>) {
+        self.pins
+            .lock()
+            .unwrap()
+            .insert(record_id, (hash, Arc::clone(instance)));
     }
 
     /// Answers a keyed retry from the idempotency cache: the delivered
@@ -403,10 +429,13 @@ impl Shared {
 
     /// Compacts the journal's state-record history once it outgrows the
     /// configured threshold: every live interned instance is re-journaled
-    /// as a synthetic `upload` (a snapshot of the table), then the
-    /// superseded upload/mutate/release records are marked completed.
-    /// Recovery replays the snapshot instead of the full mutation
-    /// history, so restart cost is O(live instances + tail), not
+    /// as a synthetic `upload` (a snapshot of the table), every pinned
+    /// instance the table no longer holds as an `upload` + `release`
+    /// pair (recovery can resolve the handle-form jobs that cite it, yet
+    /// it does not re-enter the table), then the superseded
+    /// upload/mutate/release records are marked completed. Recovery
+    /// replays the snapshot instead of the full mutation history, so
+    /// restart cost is O(live and pinned instances + tail), not
     /// O(mutations ever applied). Crash-safe at every step: until the
     /// completions land, replay applies both the history and the
     /// snapshot, which converge (upload replay is an idempotent
@@ -423,22 +452,41 @@ impl Shared {
         let mut tracked = self.state_records.lock().unwrap();
         // the handles lock is held across snapshot + completions so a
         // concurrent mutate cannot journal a record against a table
-        // state the snapshot does not contain
+        // state the snapshot does not contain, and no handle-form job
+        // can pin an instance the snapshot misses
         let handles = self.handles.lock().unwrap();
-        // 2× the live-table size keeps a workload with many handles and
+        let retired: HashMap<PayloadHash, Arc<Instance>> = self
+            .pins
+            .lock()
+            .unwrap()
+            .values()
+            .filter(|(hash, _)| !handles.contains_key(hash))
+            .map(|(hash, instance)| (*hash, Arc::clone(instance)))
+            .collect();
+        // 2× the snapshot size keeps a workload with many handles and
         // few mutations from re-snapshotting on every state record
-        if tracked.len() < threshold || tracked.len() < 2 * handles.len() {
+        let snapshot_len = handles.len() + 2 * retired.len();
+        if tracked.len() < threshold || tracked.len() < 2 * snapshot_len {
             return;
         }
-        let mut snapshot_ids = Vec::with_capacity(handles.len());
-        for instance in handles.values() {
-            let line = wire::render_upload("snapshot", instance);
+        let snapshot = handles
+            .values()
+            .map(|instance| wire::render_upload("snapshot", instance))
+            .chain(retired.iter().flat_map(|(hash, instance)| {
+                [
+                    wire::render_upload("snapshot", instance),
+                    wire::render_release("snapshot", &wire::render_handle(*hash)),
+                ]
+            }));
+        let mut snapshot_ids = Vec::with_capacity(snapshot_len);
+        for line in snapshot {
             match journal.append_admitted("snapshot", Priority::Normal, None, None, &line) {
                 Ok(id) => snapshot_ids.push(id),
                 Err(_) => {
                     // partial snapshot: keep the full history *and* the
-                    // uploads already appended (harmless duplicates on
-                    // replay) and retry at the next threshold crossing
+                    // records already appended (duplicates on replay; at
+                    // worst a retired instance whose release failed
+                    // resolves again) and retry at the next crossing
                     tracked.extend(snapshot_ids);
                     return;
                 }
@@ -763,10 +811,10 @@ fn worker_loop(shared: &Shared, slot: usize) {
                     }
                     Err(e) => e.to_json_line(),
                 },
-                Payload::Parsed(request) => match job.handle_hash {
-                    Some(hash) => solve_held(shared, &session, &token, &request, hash),
-                    None => solve(&request),
-                },
+                Payload::Handle(request, hash) => {
+                    solve_held(shared, &session, &token, &request, hash)
+                }
+                Payload::Parsed(request) => solve(&request),
             }
         }));
         *shared.active[slot].lock().unwrap() = None;
@@ -837,6 +885,7 @@ impl Server {
             held: Mutex::new(HashMap::new()),
             held_tick: AtomicU64::new(0),
             state_records: Mutex::new(Vec::new()),
+            pins: Mutex::new(HashMap::new()),
             parse_fallbacks: AtomicU64::new(0),
             mutations_applied: AtomicU64::new(0),
             repairs: AtomicU64::new(0),
@@ -868,11 +917,21 @@ impl Server {
     /// process — and the blocking push means a recovered backlog larger
     /// than the queue simply feeds the (already running) workers at
     /// their own pace.
+    ///
+    /// A handle-form job was journaled as its wire line, so its handle
+    /// is resolved again by content hash from the instances the state
+    /// replay produces — including one a later record mutates away or
+    /// releases, which is captured as it passes through the table. It is
+    /// then solved from scratch like any recovered request.
     fn reenqueue_recovered(&self) {
         let Some(journal) = &self.shared.config.journal else {
             return;
         };
-        let mut seq = 0u64;
+        let shared = &self.shared;
+        // recovered solves in admission order; a handle-form one carries
+        // the hash it waits on in `resolved`
+        let mut solves = Vec::new();
+        let mut resolved: HashMap<PayloadHash, Option<Arc<Instance>>> = HashMap::new();
         for rec in journal.take_recovered() {
             // state records (upload / mutate / release) were journaled
             // at admission and deliberately never marked completed, so
@@ -882,26 +941,24 @@ impl Server {
             // process held it. Replays answer nobody and swallow
             // errors: a mutate that failed live fails identically here.
             let record_id = rec.record.record_id;
-            let pre = match wire::scan_envelope_prescanned(&rec.line) {
+            match wire::scan_envelope_prescanned(&rec.line) {
                 Ok((ClientFrame::Upload { .. }, Some(pre))) => {
-                    self.shared.replay_upload(&rec.line, pre);
-                    self.shared.track_state_record(Some(record_id));
-                    continue;
+                    shared.replay_upload(&rec.line, pre);
+                    shared.track_state_record(Some(record_id));
                 }
                 Ok((ClientFrame::Release { handle, .. }, _)) => {
-                    self.shared.replay_release(&handle);
-                    self.shared.track_state_record(Some(record_id));
-                    continue;
+                    shared.replay_release(&handle);
+                    shared.track_state_record(Some(record_id));
                 }
                 Ok((ClientFrame::Mutate { handle, .. }, Some(pre))) => {
                     if let Ok((inserts, deletes)) = wire::parse_mutate_edits(&rec.line, &pre) {
-                        let outcome = self.shared.apply_mutation(&handle, &inserts, &deletes);
+                        let outcome = shared.apply_mutation(&handle, &inserts, &deletes);
                         // a keyed mutation that applied (live or here)
                         // must keep replaying its reply after the crash
                         // — the payload is deterministic, so the
                         // recovered bytes match the originals
                         if let (Ok(payload), Some(key)) = (outcome, rec.record.idempotency_key) {
-                            self.shared.idempotency.lock().unwrap().insert(
+                            shared.idempotency.lock().unwrap().insert(
                                 key,
                                 CachedReply {
                                     frame_type: "mutated",
@@ -910,10 +967,15 @@ impl Server {
                             );
                         }
                     }
-                    self.shared.track_state_record(Some(record_id));
-                    continue;
+                    shared.track_state_record(Some(record_id));
                 }
-                Ok((ClientFrame::Request(_), Some(pre))) => pre,
+                Ok((ClientFrame::Request(envelope), Some(pre))) => {
+                    let hash = envelope.handle.as_deref().and_then(wire::parse_handle);
+                    if let Some(hash) = hash {
+                        resolved.entry(hash).or_insert(None);
+                    }
+                    solves.push((rec, pre, hash));
+                }
                 // only a hand-edited journal holds a line that does not
                 // scan as a client frame; retire it rather than
                 // recovering it on every restart
@@ -921,21 +983,48 @@ impl Server {
                     let _ = journal.mark_completed(record_id);
                     continue;
                 }
+            }
+            let handles = shared.handles.lock().unwrap();
+            for (hash, slot) in resolved.iter_mut().filter(|(_, slot)| slot.is_none()) {
+                *slot = handles.get(hash).map(Arc::clone);
+            }
+        }
+        for (seq, (rec, pre, hash)) in solves.into_iter().enumerate() {
+            let record_id = rec.record.record_id;
+            let payload = match hash {
+                None => Payload::Wire(rec.line, pre),
+                Some(hash) => {
+                    let request = resolved[&hash].as_ref().and_then(|instance| {
+                        let request =
+                            wire::parse_handle_request(&rec.line, &pre, Arc::clone(instance))
+                                .ok()?;
+                        // pinned too: the compaction that ends recovery
+                        // must keep this instance resolvable
+                        shared.pin(record_id, hash, instance);
+                        Some(request)
+                    });
+                    // only a hand-edited journal cites an instance no
+                    // state record produces (admission journals the line
+                    // while its handle is live, and pins carry it
+                    // through compaction) or a line that does not parse
+                    let Some(request) = request else {
+                        shared.complete_record(Some(record_id));
+                        continue;
+                    };
+                    Payload::Parsed(Box::new(request))
+                }
             };
             let job = Job {
                 conn: RECOVERY_CONN,
-                seq,
+                seq: seq as u64,
                 id: rec.record.id,
-                payload: Payload::Wire(rec.line, pre),
-                enqueued: self.shared.config.record_timings.then(Instant::now),
+                payload,
+                enqueued: shared.config.record_timings.then(Instant::now),
                 deadline: None,
                 journal_id: Some(record_id),
                 idempotency_key: rec.record.idempotency_key,
-                handle_hash: None,
             };
-            seq += 1;
-            if self
-                .shared
+            if shared
                 .queue
                 .push_blocking(rec.record.priority, job)
                 .is_err()
@@ -947,7 +1036,7 @@ impl Server {
         }
         // a crash can leave an arbitrarily long replayed history; fold
         // it into a fresh snapshot now rather than carrying it forward
-        self.shared.maybe_compact_journal();
+        shared.maybe_compact_journal();
     }
 
     /// Starts a default-configured server.
@@ -1114,48 +1203,32 @@ impl Submitter {
         self.send_now(seq, wire::error_frame(id, seq, None, &payload));
     }
 
-    fn enqueue(&self, envelope: Envelope, seq: u64, payload: Payload) -> Submitted {
-        if self.shared.is_killed() {
-            // a dead process answers nothing
-            return Submitted::Skipped;
-        }
-        // idempotent retry: a key whose reply was already delivered is
-        // answered from the cache — no admission, no journal append, no
-        // second solve
-        let key = envelope.idempotency_key.as_deref();
-        if let Some(frame) = self.shared.replay(key, &envelope.id, seq) {
-            self.send_now(seq, frame);
-            return Submitted::Replied;
-        }
-        // write-ahead: the admission is journaled before the job can
-        // reach a worker. An append failure degrades durability (this
-        // job would not survive a crash), never availability. Parsed
-        // requests are fingerprinted structurally so the (much more
-        // expensive) canonical rendering happens only for payloads the
-        // journal has not interned yet; the envelope embedded in that
-        // rendering is a placeholder because recovery takes id,
-        // priority, and key from the admitted record, never the line.
-        let mut journal_id = None;
-        if let Some(journal) = &self.shared.config.journal {
-            journal_id = match &payload {
-                Payload::Wire(line, _) => journal.append_admitted(
-                    &envelope.id,
-                    envelope.priority,
-                    envelope.deadline_ms,
-                    envelope.idempotency_key.as_deref(),
-                    line,
-                ),
-                Payload::Parsed(request) => journal.append_admitted_interned(
-                    &envelope.id,
-                    envelope.priority,
-                    envelope.deadline_ms,
-                    envelope.idempotency_key.as_deref(),
-                    wire::request_fingerprint(request),
-                    || wire::render_request("interned", Priority::Normal, request),
-                ),
-            }
-            .ok();
-        }
+    /// Write-ahead: journals an admitted wire line before its job can
+    /// reach a worker. `None` without a journal; an append failure also
+    /// yields `None` and degrades durability (this job would not survive
+    /// a crash), never availability.
+    fn admit(&self, envelope: &Envelope, line: &str) -> Option<u64> {
+        let journal = self.shared.config.journal.as_ref()?;
+        journal
+            .append_admitted(
+                &envelope.id,
+                envelope.priority,
+                envelope.deadline_ms,
+                envelope.idempotency_key.as_deref(),
+                line,
+            )
+            .ok()
+    }
+
+    /// Queues an admitted (and, with a journal, already journaled) job,
+    /// or answers the client with a typed `overloaded` reject.
+    fn enqueue(
+        &self,
+        envelope: Envelope,
+        seq: u64,
+        payload: Payload,
+        journal_id: Option<u64>,
+    ) -> Submitted {
         let job = Job {
             conn: self.conn,
             seq,
@@ -1167,7 +1240,6 @@ impl Submitter {
                 .map(|ms| (Instant::now() + Duration::from_millis(ms), ms)),
             journal_id,
             idempotency_key: envelope.idempotency_key,
-            handle_hash: envelope.handle.as_deref().and_then(wire::parse_handle),
         };
         let refused = match self.shared.config.admission {
             Admission::Reject => match self.shared.queue.try_push(envelope.priority, job) {
@@ -1198,11 +1270,35 @@ impl Submitter {
         }
         // a definitive reject reaches the client, so the journal must
         // not re-run the job after a crash: mark it completed
-        if let (Some(journal), Some(record_id)) = (&self.shared.config.journal, job.journal_id) {
-            let _ = journal.mark_completed(record_id);
-        }
+        self.shared.complete_record(job.journal_id);
         self.reject(&job.id, seq, depth);
         Submitted::Replied
+    }
+
+    /// Admits a `request` frame, inline or handle-form. A keyed retry
+    /// whose reply was already delivered is answered from the cache
+    /// first — no admission, no journal append, no second solve — so a
+    /// retried handle-form solve replays even once its handle has moved.
+    fn request(&self, envelope: Envelope, seq: u64, line: &str, pre: wire::PreScan) -> Submitted {
+        if self.shared.is_killed() {
+            // a dead process answers nothing
+            return Submitted::Skipped;
+        }
+        let key = envelope.idempotency_key.as_deref();
+        if let Some(frame) = self.shared.replay(key, &envelope.id, seq) {
+            self.send_now(seq, frame);
+            return Submitted::Replied;
+        }
+        if envelope.handle.is_some() {
+            return self.enqueue_handle(envelope, seq, line, pre);
+        }
+        let journal_id = self.admit(&envelope, line);
+        self.enqueue(
+            envelope,
+            seq,
+            Payload::Wire(line.to_owned(), pre),
+            journal_id,
+        )
     }
 
     /// Submits one raw input line, driving the full ingest path:
@@ -1231,11 +1327,7 @@ impl Submitter {
         }
         match wire::scan_envelope_prescanned(trimmed) {
             Ok((ClientFrame::Request(envelope), Some(pre))) => {
-                if envelope.handle.is_some() {
-                    self.enqueue_handle(envelope, seq, trimmed, pre)
-                } else {
-                    self.enqueue(envelope, seq, Payload::Wire(trimmed.to_owned(), pre))
-                }
+                self.request(envelope, seq, trimmed, pre)
             }
             Ok((ClientFrame::Upload { id }, Some(pre))) => self.upload(&id, seq, trimmed, pre),
             Ok((ClientFrame::Release { id, handle }, _)) => {
@@ -1297,17 +1389,39 @@ impl Submitter {
     pub fn submit_request(&mut self, id: &str, priority: Priority, request: Request) -> Submitted {
         let seq = self.next_seq;
         self.next_seq += 1;
+        if self.shared.is_killed() {
+            return Submitted::Skipped;
+        }
         let deadline_ms = request.budget().deadline_ms;
+        // journaled by structural fingerprint, so the (much more
+        // expensive) canonical rendering happens only for a request the
+        // journal has not interned yet; the envelope embedded in that
+        // rendering is a placeholder because recovery takes id,
+        // priority and key from the admitted record, never the line
+        let journal_id = self.shared.config.journal.as_ref().and_then(|journal| {
+            journal
+                .append_admitted_interned(
+                    id,
+                    priority,
+                    deadline_ms,
+                    None,
+                    wire::request_fingerprint(&request),
+                    || wire::render_request("interned", Priority::Normal, &request),
+                )
+                .ok()
+        });
+        let envelope = Envelope {
+            id: id.to_owned(),
+            priority,
+            deadline_ms,
+            idempotency_key: None,
+            handle: None,
+        };
         self.enqueue(
-            Envelope {
-                id: id.to_owned(),
-                priority,
-                deadline_ms,
-                idempotency_key: None,
-                handle: None,
-            },
+            envelope,
             seq,
             Payload::Parsed(Box::new(request)),
+            journal_id,
         )
     }
 
@@ -1468,6 +1582,12 @@ impl Submitter {
     /// (sharing the interned `Arc<Instance>`), so workers pay no codec
     /// or graph-build cost and multi-worker scheduling cannot reorder a
     /// solve ahead of the upload it references.
+    ///
+    /// The journal records the frame's own wire line, not the resolved
+    /// instance. It is appended while the `handles` lock still holds the
+    /// instance live, so no journaled state record can retire the
+    /// instance ahead of the line, and the instance is pinned until the
+    /// record is completed, so compaction keeps it resolvable.
     fn enqueue_handle(
         &self,
         envelope: Envelope,
@@ -1475,31 +1595,43 @@ impl Submitter {
         line: &str,
         pre: wire::PreScan,
     ) -> Submitted {
-        let handle = envelope.handle.as_deref().expect("checked by submit_line");
+        let handle = envelope
+            .handle
+            .as_deref()
+            .expect("checked by Submitter::request");
         let hash = wire::parse_handle(handle).expect("validated by the ingest scan");
-        let instance = self
-            .shared
-            .handles
-            .lock()
-            .unwrap()
-            .get(&hash)
-            .map(Arc::clone);
-        let Some(instance) = instance else {
-            let payload = ApiError::InvalidRequest {
-                field: "handle",
-                reason: format!("unknown instance handle \"{handle}\"; upload it first"),
-            }
-            .to_json_line();
-            self.send_now(seq, wire::error_frame(&envelope.id, seq, None, &payload));
-            return Submitted::Replied;
+        let admitted = {
+            let handles = self.shared.handles.lock().unwrap();
+            handles.get(&hash).map(|instance| {
+                let request = wire::parse_handle_request(line, &pre, Arc::clone(instance))?;
+                let journal_id = self.admit(&envelope, line);
+                if let Some(record_id) = journal_id {
+                    self.shared.pin(record_id, hash, instance);
+                }
+                Ok::<_, ApiError>((request, journal_id))
+            })
         };
-        match wire::parse_handle_request(line, &pre, instance) {
-            Ok(request) => self.enqueue(envelope, seq, Payload::Parsed(Box::new(request))),
-            Err(e) => {
+        match admitted {
+            Some(Ok((request, journal_id))) => self.enqueue(
+                envelope,
+                seq,
+                Payload::Handle(Box::new(request), hash),
+                journal_id,
+            ),
+            Some(Err(e)) => {
                 self.send_now(
                     seq,
                     wire::error_frame(&envelope.id, seq, None, &e.to_json_line()),
                 );
+                Submitted::Replied
+            }
+            None => {
+                let payload = ApiError::InvalidRequest {
+                    field: "handle",
+                    reason: format!("unknown instance handle \"{handle}\"; upload it first"),
+                }
+                .to_json_line();
+                self.send_now(seq, wire::error_frame(&envelope.id, seq, None, &payload));
                 Submitted::Replied
             }
         }
@@ -2860,6 +2992,219 @@ mod tests {
             assert!(rx.recv().is_none());
             server.shutdown();
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Adds an idempotency key to a rendered request line, in the slot
+    /// the canonical renderer gives it.
+    fn with_key(line: &str, key: &str) -> String {
+        line.replacen(
+            "\"problem\":",
+            &format!("\"idempotency_key\":\"{key}\",\"problem\":"),
+            1,
+        )
+    }
+
+    /// Submits `line` and returns the `new_handle` of its `mutated` reply.
+    fn mutate_handle(tx: &mut Submitter, rx: &mut FrameReceiver, line: &str) -> String {
+        assert_eq!(tx.submit_line(line), Submitted::Replied);
+        let frame = rx.recv().unwrap();
+        frame
+            .split("\"new_handle\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .unwrap_or_else(|| panic!("not a mutated frame: {frame}"))
+            .to_owned()
+    }
+
+    /// Upload, keyed handle solve, mutate, then a keyed solve of the
+    /// moved handle admitted while the only worker is blocked on an
+    /// earlier job; then `moves_after` further mutations move the
+    /// admitted handle away (under `compact_threshold`, they also run a
+    /// compaction that completes the history which produced it), and
+    /// the server is halted. A restart on the same journal must recover
+    /// the admitted handle-form job from its journaled line, so a keyed
+    /// retry replays a payload byte-identical to a from-scratch solve of
+    /// the instance it was admitted against.
+    fn handle_solve_survives_restart(
+        tag: &str,
+        moves_after: usize,
+        compact_threshold: Option<usize>,
+    ) {
+        use crate::journal::{FsyncPolicy, Journal};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use splitgraph::delta::{random_delta, ChurnStyle};
+
+        let path = temp_journal_path(tag);
+        let _ = std::fs::remove_file(&path);
+        let mut rng = StdRng::seed_from_u64(101);
+        let mut g = generators::random_biregular(64, 64, 16, &mut rng).unwrap();
+        let policy = Request::new(Problem::weak_splitting(), g.clone())
+            .deterministic()
+            .seed(9);
+        let handle_of = |g: &splitgraph::BipartiteGraph| {
+            wire::render_handle(wire::instance_fingerprint(&Instance::Bipartite(g.clone())))
+        };
+        let mut config = quiet_config();
+        if let Some(threshold) = compact_threshold {
+            config.journal_compact_threshold = threshold;
+        }
+
+        let journal = Arc::new(Journal::open(&path, FsyncPolicy::Never).unwrap());
+        let server = Server::start(ServerConfig {
+            journal: Some(Arc::clone(&journal)),
+            ..config.clone()
+        });
+        let (mut tx, mut rx) = server.connect().split();
+        let upload = wire::render_upload("u1", &Instance::Bipartite(g.clone()));
+        assert_eq!(tx.submit_line(&upload), Submitted::Replied);
+        rx.recv().unwrap();
+        let first =
+            wire::render_request_with_handle("s1", Priority::Normal, &handle_of(&g), &policy);
+        assert_eq!(tx.submit_line(&with_key(&first, "k1")), Submitted::Queued);
+        assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
+        let delta = random_delta(&g, ChurnStyle::Rewire, 2, &mut rng);
+        let mutate = wire::render_mutate("m0", &handle_of(&g), delta.inserts(), delta.deletes());
+        let moved = mutate_handle(&mut tx, &mut rx, &mutate);
+        delta.apply(&mut g).unwrap();
+        assert_eq!(moved, handle_of(&g));
+        let admitted = g.clone();
+
+        // holding the only worker's solve slot parks it on the inline job
+        // ahead of the keyed solve, which therefore stays queued
+        let blocked = server.shared.active[0].lock().unwrap();
+        let blocker = r#"{"v":1,"type":"request","id":"b","problem":{"name":"mis","base_degree":8},"instance":{"kind":"host","nodes":4,"edges":[[0,1],[1,2],[2,3],[3,0]]}}"#;
+        assert_eq!(tx.submit_line(blocker), Submitted::Queued);
+        while server.shared.queue.depth() > 0 {
+            thread::yield_now();
+        }
+        let second = with_key(
+            &wire::render_request_with_handle("s2", Priority::Normal, &moved, &policy),
+            "k2",
+        );
+        assert_eq!(tx.submit_line(&second), Submitted::Queued);
+        // replies come back in submission order, so the mutations that
+        // follow use a connection of their own
+        let (mut tx, mut rx) = server.connect().split();
+        for i in 0..moves_after {
+            let delta = random_delta(&g, ChurnStyle::Rewire, 2, &mut rng);
+            let line = wire::render_mutate(
+                &format!("m{}", i + 1),
+                &handle_of(&g),
+                delta.inserts(),
+                delta.deletes(),
+            );
+            mutate_handle(&mut tx, &mut rx, &line);
+            delta.apply(&mut g).unwrap();
+        }
+        if compact_threshold.is_some() {
+            // one live upload plus the pinned instance's upload + release
+            assert_eq!(
+                server.shared.state_records.lock().unwrap().len(),
+                3,
+                "compaction ran and snapshotted the pinned instance"
+            );
+        }
+        server.shared.kill();
+        drop(blocked);
+        server.halt();
+        drop(journal);
+
+        let journal = Arc::new(Journal::open(&path, FsyncPolicy::Never).unwrap());
+        let server = Server::start(ServerConfig {
+            journal: Some(Arc::clone(&journal)),
+            ..config
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while server.stats().served < 1 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(server.stats().handles_held, 1, "only the live handle");
+        let (mut tx, mut rx) = server.connect().split();
+        assert_eq!(tx.submit_line(&second), Submitted::Replied);
+        let frame = rx.recv().unwrap();
+        let reply = split_reply(&frame).expect(&frame);
+        assert!(reply.replayed, "{frame}");
+        let direct = Session::with_threads(1)
+            .solve(
+                &Request::new(Problem::weak_splitting(), admitted)
+                    .deterministic()
+                    .seed(9),
+            )
+            .unwrap()
+            .to_json_line();
+        assert_eq!(reply.payload, Some(direct.as_str()), "byte parity");
+        tx.finish();
+        assert!(rx.recv().is_none());
+        server.shutdown();
+        drop(journal);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn handle_solve_after_mutation_recovers_from_its_journaled_line() {
+        handle_solve_survives_restart("handle-line", 0, None);
+    }
+
+    #[test]
+    fn handle_solve_recovers_after_its_handle_moves_on() {
+        handle_solve_survives_restart("handle-moved", 1, None);
+    }
+
+    #[test]
+    fn handle_solve_recovers_after_compaction_retires_its_instance() {
+        handle_solve_survives_restart("handle-compacted", 5, Some(2));
+    }
+
+    #[test]
+    fn post_mutation_handle_solve_journals_its_line_not_the_instance() {
+        use crate::journal::{FsyncPolicy, Journal};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use splitgraph::delta::{random_delta, ChurnStyle};
+
+        let path = temp_journal_path("handle-bytes");
+        let _ = std::fs::remove_file(&path);
+        let mut rng = StdRng::seed_from_u64(111);
+        let b = generators::random_biregular(320, 320, 32, &mut rng).unwrap();
+        assert!(b.edge_count() >= 10_000);
+        let request = Request::new(Problem::weak_splitting(), b.clone())
+            .deterministic()
+            .seed(3);
+        let handle = wire::render_handle(wire::instance_fingerprint(request.instance()));
+        let journal = Arc::new(Journal::open(&path, FsyncPolicy::Never).unwrap());
+        let server = Server::start(ServerConfig {
+            journal: Some(Arc::clone(&journal)),
+            ..quiet_config()
+        });
+        let (mut tx, mut rx) = server.connect().split();
+        assert_eq!(
+            tx.submit_line(&wire::render_upload("u1", request.instance())),
+            Submitted::Replied
+        );
+        rx.recv().unwrap();
+        let solve = wire::render_request_with_handle("s1", Priority::Normal, &handle, &request);
+        assert_eq!(tx.submit_line(&solve), Submitted::Queued);
+        assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
+        let delta = random_delta(&b, ChurnStyle::Rewire, 2, &mut rng);
+        let mutate = wire::render_mutate("m1", &handle, delta.inserts(), delta.deletes());
+        let moved = mutate_handle(&mut tx, &mut rx, &mutate);
+
+        let before = journal.stats().bytes;
+        let solve = wire::render_request_with_handle("s2", Priority::Normal, &moved, &request);
+        assert_eq!(tx.submit_line(&solve), Submitted::Queued);
+        assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
+        let grown = journal.stats().bytes - before;
+        assert!(
+            grown < 4096,
+            "a post-mutation handle solve of {} edges grew the journal by {grown} bytes",
+            b.edge_count()
+        );
+        tx.finish();
+        assert!(rx.recv().is_none());
+        server.shutdown();
+        drop(journal);
         let _ = std::fs::remove_file(&path);
     }
 
