@@ -72,6 +72,7 @@ pub mod journal;
 pub mod json;
 pub mod queue;
 pub mod server;
+mod table;
 pub mod transport;
 pub mod wire;
 

@@ -20,14 +20,14 @@
 use crate::chaos::{self, ChaosConfig};
 use crate::journal::{Journal, PayloadHash};
 use crate::queue::{JobQueue, PushError};
+use crate::table::{InstanceTable, Origin};
 use crate::wire::{self, ClientFrame, Envelope, Priority, StatsSnapshot, Timing};
-use splitgraph::delta::EdgeDelta;
-use splitting_api::{ApiError, CancelToken, HeldSolution, Instance, Request, Session};
+use splitting_api::{ApiError, CancelToken, HeldSolution, Request, Session};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -95,13 +95,13 @@ pub struct ServerConfig {
     /// its coloring. At capacity, adopting a fresh solution evicts the
     /// least-recently-used entry — adoption is never refused.
     pub held_capacity: usize,
-    /// Compact journaled state records (upload/mutate/release) once
-    /// more than this many are outstanding (default 64; `0` disables
-    /// compaction): the interned-handle table, plus any instance an
-    /// incomplete handle-form solve still cites, is snapshotted as
-    /// synthetic upload records and the superseded history is marked
-    /// completed, so recovery replays the snapshot plus the tail
-    /// instead of every mutation ever applied.
+    /// Compact journaled state records (upload/mutate/release) once at
+    /// least this many are outstanding *and* they number at least twice
+    /// the snapshot: one record per live instance, two per instance an
+    /// incomplete handle-form solve cites that is no longer live
+    /// (default 64; `0` disables compaction). The snapshot is journaled
+    /// as synthetic upload (and release) records and the superseded
+    /// history marked completed, so recovery replays snapshot and tail.
     pub journal_compact_threshold: usize,
 }
 
@@ -232,19 +232,6 @@ impl IdempotencyCache {
     }
 }
 
-/// A held solution waiting for churn: the live [`HeldSolution`] plus
-/// the edge deltas applied to its instance (by `mutate` frames) since
-/// the last solve. The next handle-solve with the same policy drains
-/// `pending` through the incremental repair path instead of solving
-/// from scratch.
-struct HeldEntry {
-    held: HeldSolution,
-    pending: Vec<EdgeDelta>,
-    /// Recency stamp from [`Shared::held_tick`]; the entry with the
-    /// smallest stamp is the LRU eviction victim at capacity.
-    last_used: u64,
-}
-
 struct Shared {
     queue: JobQueue<Job>,
     registry: Mutex<HashMap<u64, SyncSender<Report>>>,
@@ -261,36 +248,12 @@ struct Shared {
     /// behaves.
     killed: AtomicBool,
     idempotency: Mutex<IdempotencyCache>,
-    /// Interned instances, keyed by content hash (`upload` frames).
-    /// Requests carrying a handle resolve here at ingest and share the
-    /// `Arc` — a handle solve never re-parses or copies the graph.
-    handles: Mutex<HashMap<crate::journal::PayloadHash, Arc<splitting_api::Instance>>>,
+    /// Interned instances, held solutions, handle-form pins and
+    /// outstanding state records; see [`InstanceTable`].
+    table: Mutex<InstanceTable>,
     /// Instance edge parses that fell off the zero-copy fast scanner
     /// onto the strict fallback (canonical encodings never do).
     parse_fallbacks: AtomicU64,
-    /// Held solutions for handle-form weak-splitting requests, keyed by
-    /// `(instance fingerprint, policy fingerprint)`. `mutate` re-keys
-    /// entries to the patched instance's hash and records the delta;
-    /// the next matching solve repairs incrementally.
-    held: Mutex<HashMap<(PayloadHash, PayloadHash), HeldEntry>>,
-    /// Monotonic recency clock for held-entry LRU eviction; bumped on
-    /// every (re)insert through [`Shared::store_held`].
-    held_tick: AtomicU64,
-    /// Journal record ids of outstanding state records (upload / mutate
-    /// / release) — the replay prefix a restart would execute. Once the
-    /// list outgrows [`ServerConfig::journal_compact_threshold`],
-    /// [`Shared::maybe_compact_journal`] snapshots the interned-handle
-    /// table and marks the superseded history completed.
-    state_records: Mutex<Vec<u64>>,
-    /// The instance each journaled handle-form job resolved to, keyed
-    /// by its admitted record id until that record is completed. The
-    /// journal holds only the job's wire line, so recovery resolves its
-    /// handle again by content hash; [`Shared::maybe_compact_journal`]
-    /// therefore snapshots every pinned instance, including one that
-    /// was mutated away or released since admission.
-    pins: Mutex<HashMap<u64, (PayloadHash, Arc<Instance>)>>,
-    /// `mutate` frames successfully applied (including journal replays).
-    mutations_applied: AtomicU64,
     /// Held-solution updates served by the incremental repair path.
     repairs: AtomicU64,
     /// Held-solution updates that fell back to a from-scratch solve.
@@ -339,15 +302,21 @@ impl Shared {
         payload: String,
     ) {
         self.complete_record(journal_id);
-        if let Some(key) = idempotency_key {
-            self.idempotency.lock().unwrap().insert(
-                key,
-                CachedReply {
-                    frame_type,
-                    payload,
-                },
-            );
-        }
+        self.cache_reply(idempotency_key, frame_type, payload);
+    }
+
+    /// Remembers a delivered reply under its idempotency key, if any.
+    fn cache_reply(&self, key: Option<String>, frame_type: &'static str, payload: String) {
+        let Some(key) = key else { return };
+        let reply = CachedReply {
+            frame_type,
+            payload,
+        };
+        self.idempotency.lock().unwrap().insert(key, reply);
+    }
+
+    fn table(&self) -> MutexGuard<'_, InstanceTable> {
+        self.table.lock().expect("instance table poisoned")
     }
 
     /// Marks a job's admitted record completed, then drops its pin (if
@@ -360,16 +329,7 @@ impl Shared {
         // a failing completion append degrades durability (the job
         // would be re-run after a crash), never availability
         let _ = journal.mark_completed(record_id);
-        self.pins.lock().unwrap().remove(&record_id);
-    }
-
-    /// Pins the instance a journaled handle-form job resolved to until
-    /// its record is completed (see [`Shared::pins`]).
-    fn pin(&self, record_id: u64, hash: PayloadHash, instance: &Arc<Instance>) {
-        self.pins
-            .lock()
-            .unwrap()
-            .insert(record_id, (hash, Arc::clone(instance)));
+        self.table().unpin(record_id);
     }
 
     /// Answers a keyed retry from the idempotency cache: the delivered
@@ -380,122 +340,6 @@ impl Shared {
         let hit = self.idempotency.lock().unwrap().get(idempotency_key?)?;
         self.replayed.fetch_add(1, Ordering::Relaxed);
         Some(wire::replayed_frame(hit.frame_type, id, seq, &hit.payload))
-    }
-
-    /// (Re)inserts a held solution, enforcing the cache discipline in
-    /// one place: entries whose instance hash no longer resolves in the
-    /// handles table are dropped (the instance was released — or mutated
-    /// while this entry was checked out by a worker, losing that delta,
-    /// so the retained solution can never be trusted again); at
-    /// capacity the least-recently-used entry is evicted so adoption is
-    /// never refused. Holding the `held` lock across the liveness check
-    /// keeps a racing `release` from slipping between check and insert:
-    /// release removes the handle *before* purging held entries, so
-    /// whichever side wins the lock, the dead entry goes.
-    fn store_held(&self, key: (PayloadHash, PayloadHash), mut entry: HeldEntry) {
-        if self.config.held_capacity == 0 {
-            return;
-        }
-        let mut held = self.held.lock().unwrap();
-        if !self.handles.lock().unwrap().contains_key(&key.0) {
-            return;
-        }
-        entry.last_used = self.held_tick.fetch_add(1, Ordering::Relaxed);
-        if held.len() >= self.config.held_capacity && !held.contains_key(&key) {
-            let victim = held
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                held.remove(&victim);
-            }
-        }
-        held.insert(key, entry);
-    }
-
-    /// Drops every held solution keyed by the given instance hash —
-    /// `release` and its journal replay call this so released instances
-    /// do not pin cache capacity.
-    fn purge_held(&self, hash: PayloadHash) {
-        self.held.lock().unwrap().retain(|(h, _), _| *h != hash);
-    }
-
-    /// Remembers a state record's journal id for later compaction.
-    fn track_state_record(&self, record_id: Option<u64>) {
-        if let Some(id) = record_id {
-            self.state_records.lock().unwrap().push(id);
-        }
-    }
-
-    /// Compacts the journal's state-record history once it outgrows the
-    /// configured threshold: every live interned instance is re-journaled
-    /// as a synthetic `upload` (a snapshot of the table), every pinned
-    /// instance the table no longer holds as an `upload` + `release`
-    /// pair (recovery can resolve the handle-form jobs that cite it, yet
-    /// it does not re-enter the table), then the superseded
-    /// upload/mutate/release records are marked completed. Recovery
-    /// replays the snapshot instead of the full mutation history, so
-    /// restart cost is O(live and pinned instances + tail), not
-    /// O(mutations ever applied). Crash-safe at every step: until the
-    /// completions land, replay applies both the history and the
-    /// snapshot, which converge (upload replay is an idempotent
-    /// `or_insert`, and a replayed mutate addressing an already-moved
-    /// hash fails silently).
-    fn maybe_compact_journal(&self) {
-        let threshold = self.config.journal_compact_threshold;
-        if threshold == 0 {
-            return;
-        }
-        let Some(journal) = &self.config.journal else {
-            return;
-        };
-        let mut tracked = self.state_records.lock().unwrap();
-        // the handles lock is held across snapshot + completions so a
-        // concurrent mutate cannot journal a record against a table
-        // state the snapshot does not contain, and no handle-form job
-        // can pin an instance the snapshot misses
-        let handles = self.handles.lock().unwrap();
-        let retired: HashMap<PayloadHash, Arc<Instance>> = self
-            .pins
-            .lock()
-            .unwrap()
-            .values()
-            .filter(|(hash, _)| !handles.contains_key(hash))
-            .map(|(hash, instance)| (*hash, Arc::clone(instance)))
-            .collect();
-        // 2× the snapshot size keeps a workload with many handles and
-        // few mutations from re-snapshotting on every state record
-        let snapshot_len = handles.len() + 2 * retired.len();
-        if tracked.len() < threshold || tracked.len() < 2 * snapshot_len {
-            return;
-        }
-        let snapshot = handles
-            .values()
-            .map(|instance| wire::render_upload("snapshot", instance))
-            .chain(retired.iter().flat_map(|(hash, instance)| {
-                [
-                    wire::render_upload("snapshot", instance),
-                    wire::render_release("snapshot", &wire::render_handle(*hash)),
-                ]
-            }));
-        let mut snapshot_ids = Vec::with_capacity(snapshot_len);
-        for line in snapshot {
-            match journal.append_admitted("snapshot", Priority::Normal, None, None, &line) {
-                Ok(id) => snapshot_ids.push(id),
-                Err(_) => {
-                    // partial snapshot: keep the full history *and* the
-                    // records already appended (duplicates on replay; at
-                    // worst a retired instance whose release failed
-                    // resolves again) and retry at the next crossing
-                    tracked.extend(snapshot_ids);
-                    return;
-                }
-            }
-        }
-        for id in tracked.drain(..) {
-            let _ = journal.mark_completed(id);
-        }
-        *tracked = snapshot_ids;
     }
 
     fn deliver(&self, conn: u64, seq: u64, line: String) {
@@ -537,6 +381,10 @@ impl Shared {
             .map(|j| j.stats())
             .unwrap_or_default();
         let repairs = self.repairs.load(Ordering::Relaxed);
+        let (handles_held, mutations_applied) = {
+            let table = self.table();
+            (table.len() as u64, table.mutations_applied())
+        };
         StatsSnapshot {
             served: self.served.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -551,103 +399,11 @@ impl Shared {
             journal_bytes: journal.bytes,
             journal_recovered: journal.recovered,
             parse_fallbacks: self.parse_fallbacks.load(Ordering::Relaxed),
-            handles_held: self.handles.lock().unwrap().len() as u64,
-            mutations_applied: self.mutations_applied.load(Ordering::Relaxed),
+            handles_held,
+            mutations_applied,
             repairs,
             full_resolves: self.full_resolves.load(Ordering::Relaxed),
             refix_mean_permille: self.refix_sum_permille.load(Ordering::Relaxed) / repairs.max(1),
-        }
-    }
-
-    /// Applies a validated `mutate` frame to the interned-instance
-    /// table: patch a copy of the addressed bipartite instance, re-derive
-    /// its content hash, move the table entry to the new hash, and
-    /// re-key any held solutions (recording the delta as pending repair
-    /// work). Shared verbatim by live ingest and journal replay, so a
-    /// recovered mutation stream rebuilds the exact same table.
-    fn apply_mutation(
-        &self,
-        handle: &str,
-        inserts: &[(usize, usize)],
-        deletes: &[(usize, usize)],
-    ) -> Result<String, ApiError> {
-        let hash = wire::parse_handle(handle).expect("validated by the ingest scan");
-        let mut handles = self.handles.lock().unwrap();
-        let Some(existing) = handles.get(&hash) else {
-            return Err(ApiError::InvalidRequest {
-                field: "handle",
-                reason: format!("unknown instance handle \"{handle}\"; upload it first"),
-            });
-        };
-        let Instance::Bipartite(b) = &**existing else {
-            return Err(ApiError::InvalidRequest {
-                field: "handle",
-                reason: format!(
-                    "mutate targets a bipartite instance; \"{handle}\" holds a {}",
-                    existing.kind()
-                ),
-            });
-        };
-        let mut graph = b.clone();
-        let delta =
-            EdgeDelta::new(&graph, inserts, deletes).map_err(|e| ApiError::InvalidRequest {
-                field: "delta",
-                reason: e.to_string(),
-            })?;
-        delta
-            .apply(&mut graph)
-            .map_err(|e| ApiError::InvalidRequest {
-                field: "delta",
-                reason: e.to_string(),
-            })?;
-        let edges = graph.edge_count();
-        let patched = Instance::Bipartite(graph);
-        let new_hash = wire::instance_fingerprint(&patched);
-        handles.remove(&hash);
-        handles.entry(new_hash).or_insert_with(|| Arc::new(patched));
-        let held_count = handles.len();
-        drop(handles);
-        // move held solutions along with the instance, carrying the
-        // delta as pending repair work for the next matching solve
-        let mut held = self.held.lock().unwrap();
-        let moved: Vec<_> = held.keys().filter(|(h, _)| *h == hash).cloned().collect();
-        for key in moved {
-            let mut entry = held.remove(&key).expect("key just listed");
-            entry.pending.push(delta.clone());
-            held.insert((new_hash, key.1), entry);
-        }
-        drop(held);
-        self.mutations_applied.fetch_add(1, Ordering::Relaxed);
-        Ok(wire::mutated_payload(
-            handle,
-            &wire::render_handle(new_hash),
-            delta.inserts().len(),
-            delta.deletes().len(),
-            edges,
-            held_count,
-        ))
-    }
-
-    /// Journal-replay half of `upload`: re-parse and re-intern the
-    /// instance, silently. Idempotent — repeated uploads of the same
-    /// content land on the same table entry.
-    fn replay_upload(&self, line: &str, pre: wire::PreScan) {
-        if let Ok((instance, _)) = wire::parse_upload(line, pre) {
-            let hash = wire::instance_fingerprint(&instance);
-            self.handles
-                .lock()
-                .unwrap()
-                .entry(hash)
-                .or_insert_with(|| Arc::new(instance));
-        }
-    }
-
-    /// Journal-replay half of `release`: drop the interned instance if
-    /// it is still present, along with any held solutions keyed by it.
-    fn replay_release(&self, handle: &str) {
-        if let Some(hash) = wire::parse_handle(handle) {
-            self.handles.lock().unwrap().remove(&hash);
-            self.purge_held(hash);
         }
     }
 }
@@ -668,14 +424,14 @@ fn solve_held(
     hash: PayloadHash,
 ) -> String {
     let key = (hash, wire::policy_fingerprint(request));
-    let entry = shared.held.lock().unwrap().remove(&key);
+    let entry = shared.table().check_out(key);
     match entry {
-        Some(mut entry) if !entry.pending.is_empty() => {
-            let before = *entry.held.stats();
+        Some((mut held, pending)) if !pending.is_empty() => {
+            let before = *held.stats();
             let mut payload = String::new();
             let mut stale = false;
-            for delta in std::mem::take(&mut entry.pending) {
-                payload = match entry.held.apply(&delta) {
+            for delta in pending {
+                payload = match held.apply(&delta) {
                     Ok(s) => {
                         stale = false;
                         s.to_json_line()
@@ -686,7 +442,7 @@ fn solve_held(
                     }
                 };
             }
-            let after = *entry.held.stats();
+            let after = *held.stats();
             shared
                 .repairs
                 .fetch_add(after.repairs - before.repairs, Ordering::Relaxed);
@@ -706,27 +462,20 @@ fn solve_held(
             // answer. Drop it instead — the next solve of this handle
             // falls through to a from-scratch solve of the live graph.
             if !stale {
-                shared.store_held(key, entry);
+                shared.table().store_held(key, held);
             }
             payload
         }
-        Some(entry) => {
-            let payload = entry.held.solution().to_json_line();
-            shared.store_held(key, entry);
+        Some((held, _)) => {
+            let payload = held.solution().to_json_line();
+            shared.table().store_held(key, held);
             payload
         }
         None => match session.solve_with_cancel(request, token) {
             Ok(solution) => {
                 let line = solution.to_json_line();
-                if let Ok(h) = HeldSolution::adopt(session, request, solution) {
-                    shared.store_held(
-                        key,
-                        HeldEntry {
-                            held: h,
-                            pending: Vec::new(),
-                            last_used: 0,
-                        },
-                    );
+                if let Ok(held) = HeldSolution::adopt(session, request, solution) {
+                    shared.table().store_held(key, held);
                 }
                 line
             }
@@ -881,13 +630,8 @@ impl Server {
             next_conn: AtomicU64::new(0),
             killed: AtomicBool::new(false),
             idempotency: Mutex::new(idempotency),
-            handles: Mutex::new(HashMap::new()),
-            held: Mutex::new(HashMap::new()),
-            held_tick: AtomicU64::new(0),
-            state_records: Mutex::new(Vec::new()),
-            pins: Mutex::new(HashMap::new()),
+            table: Mutex::new(InstanceTable::new(&config)),
             parse_fallbacks: AtomicU64::new(0),
-            mutations_applied: AtomicU64::new(0),
             repairs: AtomicU64::new(0),
             full_resolves: AtomicU64::new(0),
             refix_sum_permille: AtomicU64::new(0),
@@ -919,116 +663,96 @@ impl Server {
     /// their own pace.
     ///
     /// A handle-form job was journaled as its wire line, so its handle
-    /// is resolved again by content hash from the instances the state
-    /// replay produces — including one a later record mutates away or
-    /// releases, which is captured as it passes through the table. It is
-    /// then solved from scratch like any recovered request.
+    /// is resolved again by content hash, and pinned, as soon as the
+    /// state replay makes its instance live — before a later record can
+    /// mutate it away or release it. It is then solved from scratch like
+    /// any recovered request.
     fn reenqueue_recovered(&self) {
         let Some(journal) = &self.shared.config.journal else {
             return;
         };
         let shared = &self.shared;
-        // recovered solves in admission order; a handle-form one carries
-        // the hash it waits on in `resolved`
+        // recovered solves in admission order; a handle-form one has no
+        // payload while it is `waiting` for its instance
         let mut solves = Vec::new();
-        let mut resolved: HashMap<PayloadHash, Option<Arc<Instance>>> = HashMap::new();
+        let mut waiting = Vec::new();
         for rec in journal.take_recovered() {
-            // state records (upload / mutate / release) were journaled
-            // at admission and deliberately never marked completed, so
-            // every restart sees them here. Replaying them inline — in
-            // admission order, before any recovered solve is pushed —
-            // rebuilds the interned-handle table exactly as the old
-            // process held it. Replays answer nobody and swallow
-            // errors: a mutate that failed live fails identically here.
+            // state records (upload / mutate / release), journaled in
+            // apply order and never marked completed, replay inline
+            // through the live ingest's table methods before any solve is
+            // pushed, rebuilding the table the old process held. One that
+            // no longer applies (already folded into a compaction
+            // snapshot, or hand-edited) changes nothing and is retired.
             let record_id = rec.record.record_id;
-            match wire::scan_envelope_prescanned(&rec.line) {
-                Ok((ClientFrame::Upload { .. }, Some(pre))) => {
-                    shared.replay_upload(&rec.line, pre);
-                    shared.track_state_record(Some(record_id));
-                }
+            let origin = Origin::Replayed(record_id);
+            let applied = match wire::scan_envelope_prescanned(&rec.line) {
+                Ok((ClientFrame::Upload { .. }, Some(pre))) => wire::parse_upload(&rec.line, pre)
+                    .map(|(instance, _)| {
+                        let hash = wire::instance_fingerprint(&instance);
+                        shared.table().upload(hash, instance, origin)
+                    })
+                    .is_ok(),
                 Ok((ClientFrame::Release { handle, .. }, _)) => {
-                    shared.replay_release(&handle);
-                    shared.track_state_record(Some(record_id));
+                    shared.table().release(&handle, origin).is_ok()
                 }
                 Ok((ClientFrame::Mutate { handle, .. }, Some(pre))) => {
-                    if let Ok((inserts, deletes)) = wire::parse_mutate_edits(&rec.line, &pre) {
-                        let outcome = shared.apply_mutation(&handle, &inserts, &deletes);
-                        // a keyed mutation that applied (live or here)
-                        // must keep replaying its reply after the crash
-                        // — the payload is deterministic, so the
-                        // recovered bytes match the originals
-                        if let (Ok(payload), Some(key)) = (outcome, rec.record.idempotency_key) {
-                            shared.idempotency.lock().unwrap().insert(
-                                key,
-                                CachedReply {
-                                    frame_type: "mutated",
-                                    payload,
-                                },
-                            );
-                        }
-                    }
-                    shared.track_state_record(Some(record_id));
+                    let outcome = shared.table().mutate(&handle, &rec.line, &pre, origin);
+                    // a keyed mutation that applied (live or here) must
+                    // keep replaying its reply after the crash — the
+                    // payload is deterministic, so the recovered bytes
+                    // match the originals
+                    let key = rec.record.idempotency_key;
+                    outcome
+                        .map(|payload| shared.cache_reply(key, "mutated", payload))
+                        .is_ok()
                 }
                 Ok((ClientFrame::Request(envelope), Some(pre))) => {
-                    let hash = envelope.handle.as_deref().and_then(wire::parse_handle);
-                    if let Some(hash) = hash {
-                        resolved.entry(hash).or_insert(None);
+                    match envelope.handle {
+                        None => solves.push((rec.record, Some(Payload::Wire(rec.line, pre)))),
+                        Some(handle) => {
+                            waiting.push((solves.len(), handle, rec.line, pre));
+                            solves.push((rec.record, None));
+                        }
                     }
-                    solves.push((rec, pre, hash));
+                    true
                 }
                 // only a hand-edited journal holds a line that does not
-                // scan as a client frame; retire it rather than
-                // recovering it on every restart
-                _ => {
-                    let _ = journal.mark_completed(record_id);
-                    continue;
-                }
+                // scan as a client frame
+                _ => false,
+            };
+            if !applied {
+                let _ = journal.mark_completed(record_id);
+                continue;
             }
-            let handles = shared.handles.lock().unwrap();
-            for (hash, slot) in resolved.iter_mut().filter(|(_, slot)| slot.is_none()) {
-                *slot = handles.get(hash).map(Arc::clone);
-            }
+            let mut table = shared.table();
+            waiting.retain(|(i, handle, line, pre)| {
+                let (record, payload) = &mut solves[*i];
+                let admitted = table.admit_handle(handle, line, pre, || Some(record.record_id));
+                let parsed = admitted.map(|(request, ..)| Payload::Parsed(Box::new(request)));
+                *payload = parsed.ok();
+                payload.is_none()
+            });
         }
-        for (seq, (rec, pre, hash)) in solves.into_iter().enumerate() {
-            let record_id = rec.record.record_id;
-            let payload = match hash {
-                None => Payload::Wire(rec.line, pre),
-                Some(hash) => {
-                    let request = resolved[&hash].as_ref().and_then(|instance| {
-                        let request =
-                            wire::parse_handle_request(&rec.line, &pre, Arc::clone(instance))
-                                .ok()?;
-                        // pinned too: the compaction that ends recovery
-                        // must keep this instance resolvable
-                        shared.pin(record_id, hash, instance);
-                        Some(request)
-                    });
-                    // only a hand-edited journal cites an instance no
-                    // state record produces (admission journals the line
-                    // while its handle is live, and pins carry it
-                    // through compaction) or a line that does not parse
-                    let Some(request) = request else {
-                        shared.complete_record(Some(record_id));
-                        continue;
-                    };
-                    Payload::Parsed(Box::new(request))
-                }
+        for (seq, (record, payload)) in solves.into_iter().enumerate() {
+            // only a hand-edited journal cites an instance no state
+            // record produces (admission journals the line while its
+            // handle is live, and pins carry it through compaction) or a
+            // line that does not parse
+            let Some(payload) = payload else {
+                shared.complete_record(Some(record.record_id));
+                continue;
             };
             let job = Job {
                 conn: RECOVERY_CONN,
                 seq: seq as u64,
-                id: rec.record.id,
+                id: record.id,
                 payload,
                 enqueued: shared.config.record_timings.then(Instant::now),
                 deadline: None,
-                journal_id: Some(record_id),
-                idempotency_key: rec.record.idempotency_key,
+                journal_id: Some(record.record_id),
+                idempotency_key: record.idempotency_key,
             };
-            if shared
-                .queue
-                .push_blocking(rec.record.priority, job)
-                .is_err()
-            {
+            if shared.queue.push_blocking(record.priority, job).is_err() {
                 // queue closed (halt/shutdown raced startup): leave the
                 // record incomplete for the next restart
                 return;
@@ -1036,7 +760,7 @@ impl Server {
         }
         // a crash can leave an arbitrarily long replayed history; fold
         // it into a fresh snapshot now rather than carrying it forward
-        shared.maybe_compact_journal();
+        shared.table().compact();
     }
 
     /// Starts a default-configured server.
@@ -1442,24 +1166,12 @@ impl Submitter {
                     self.shared.parse_fallbacks.fetch_add(1, Ordering::Relaxed);
                 }
                 let hash = wire::instance_fingerprint(&instance);
-                let handle = wire::render_handle(hash);
-                let mut handles = self.shared.handles.lock().unwrap();
-                let entry = handles.entry(hash).or_insert_with(|| Arc::new(instance));
-                let shared_instance = Arc::clone(entry);
-                let held = handles.len();
-                drop(handles);
-                // journaled as a state record — appended at admission,
-                // left incomplete until compaction folds it into a
-                // snapshot — so every restart replays the upload and
-                // the handle survives a crash
-                if let Some(journal) = &self.shared.config.journal {
-                    let record = journal
-                        .append_admitted(id, Priority::Normal, None, None, line)
-                        .ok();
-                    self.shared.track_state_record(record);
-                    self.shared.maybe_compact_journal();
-                }
-                let payload = wire::uploaded_payload(&handle, &shared_instance, held);
+                // journaled as a state record — left incomplete until
+                // compaction folds it into a snapshot — so every restart
+                // replays the upload and the handle survives a crash
+                let origin = Origin::Live(id, None, line);
+                let (instance, held) = self.shared.table().upload(hash, instance, origin);
+                let payload = wire::uploaded_payload(&wire::render_handle(hash), &instance, held);
                 self.send_now(seq, wire::uploaded_frame(id, seq, &payload));
                 Submitted::Replied
             }
@@ -1477,33 +1189,17 @@ impl Submitter {
         if self.shared.is_killed() {
             return Submitted::Skipped;
         }
-        let hash = wire::parse_handle(handle).expect("validated by the ingest scan");
-        let (removed, held) = {
-            let mut handles = self.shared.handles.lock().unwrap();
-            (handles.remove(&hash).is_some(), handles.len())
+        // state record (see `upload`): replayed on restart so a released
+        // handle stays released across recovery
+        let released = self
+            .shared
+            .table()
+            .release(handle, Origin::Live(id, None, line));
+        let frame = match released {
+            Ok(held) => wire::released_frame(id, seq, &wire::released_payload(handle, held)),
+            Err(e) => wire::error_frame(id, seq, None, &e.to_json_line()),
         };
-        if removed {
-            // a released instance must not pin held-solution capacity
-            self.shared.purge_held(hash);
-            // state record (see `upload`): replayed on restart so a
-            // released handle stays released across recovery
-            if let Some(journal) = &self.shared.config.journal {
-                let record = journal
-                    .append_admitted(id, Priority::Normal, None, None, line)
-                    .ok();
-                self.shared.track_state_record(record);
-                self.shared.maybe_compact_journal();
-            }
-            let payload = wire::released_payload(handle, held);
-            self.send_now(seq, wire::released_frame(id, seq, &payload));
-        } else {
-            let payload = ApiError::InvalidRequest {
-                field: "handle",
-                reason: format!("unknown instance handle \"{handle}\""),
-            }
-            .to_json_line();
-            self.send_now(seq, wire::error_frame(id, seq, None, &payload));
-        }
+        self.send_now(seq, frame);
         Submitted::Replied
     }
 
@@ -1513,7 +1209,7 @@ impl Submitter {
     /// on the ingest thread like `upload`, so a solve submitted after
     /// the mutation can never race it. Applied mutations are journaled
     /// as state records (left incomplete until compaction) so recovery
-    /// replays the mutation stream in admission order.
+    /// replays the mutation stream in the order it was applied.
     ///
     /// A mutation moves the handle, so a client whose `mutated` reply
     /// was lost cannot blindly retry — the old handle is gone. A keyed
@@ -1537,43 +1233,17 @@ impl Submitter {
             self.send_now(seq, frame);
             return Submitted::Replied;
         }
-        let (inserts, deletes) = match wire::parse_mutate_edits(line, &pre) {
-            Ok(edits) => edits,
-            Err(e) => {
-                self.send_now(seq, wire::error_frame(id, seq, None, &e.to_json_line()));
-                return Submitted::Replied;
-            }
-        };
-        match self.shared.apply_mutation(handle, &inserts, &deletes) {
+        let origin = Origin::Live(id, idempotency_key.as_deref(), line);
+        let outcome = self.shared.table().mutate(handle, line, &pre, origin);
+        let frame = match outcome {
             Ok(payload) => {
-                if let Some(journal) = &self.shared.config.journal {
-                    let record = journal
-                        .append_admitted(
-                            id,
-                            Priority::Normal,
-                            None,
-                            idempotency_key.as_deref(),
-                            line,
-                        )
-                        .ok();
-                    self.shared.track_state_record(record);
-                    self.shared.maybe_compact_journal();
-                }
-                if let Some(key) = idempotency_key {
-                    self.shared.idempotency.lock().unwrap().insert(
-                        key,
-                        CachedReply {
-                            frame_type: "mutated",
-                            payload: payload.clone(),
-                        },
-                    );
-                }
-                self.send_now(seq, wire::mutated_frame(id, seq, &payload));
+                let frame = wire::mutated_frame(id, seq, &payload);
+                self.shared.cache_reply(idempotency_key, "mutated", payload);
+                frame
             }
-            Err(e) => {
-                self.send_now(seq, wire::error_frame(id, seq, None, &e.to_json_line()));
-            }
-        }
+            Err(e) => wire::error_frame(id, seq, None, &e.to_json_line()),
+        };
+        self.send_now(seq, frame);
         Submitted::Replied
     }
 
@@ -1584,10 +1254,10 @@ impl Submitter {
     /// solve ahead of the upload it references.
     ///
     /// The journal records the frame's own wire line, not the resolved
-    /// instance. It is appended while the `handles` lock still holds the
-    /// instance live, so no journaled state record can retire the
-    /// instance ahead of the line, and the instance is pinned until the
-    /// record is completed, so compaction keeps it resolvable.
+    /// instance. It is appended under the table lock while the instance
+    /// is live, so no journaled state record can retire the instance
+    /// ahead of the line, and the instance is pinned until the record is
+    /// completed, so compaction keeps it resolvable.
     fn enqueue_handle(
         &self,
         envelope: Envelope,
@@ -1599,39 +1269,22 @@ impl Submitter {
             .handle
             .as_deref()
             .expect("checked by Submitter::request");
-        let hash = wire::parse_handle(handle).expect("validated by the ingest scan");
-        let admitted = {
-            let handles = self.shared.handles.lock().unwrap();
-            handles.get(&hash).map(|instance| {
-                let request = wire::parse_handle_request(line, &pre, Arc::clone(instance))?;
-                let journal_id = self.admit(&envelope, line);
-                if let Some(record_id) = journal_id {
-                    self.shared.pin(record_id, hash, instance);
-                }
-                Ok::<_, ApiError>((request, journal_id))
-            })
-        };
+        let admitted = self
+            .shared
+            .table()
+            .admit_handle(handle, line, &pre, || self.admit(&envelope, line));
         match admitted {
-            Some(Ok((request, journal_id))) => self.enqueue(
+            Ok((request, hash, journal_id)) => self.enqueue(
                 envelope,
                 seq,
                 Payload::Handle(Box::new(request), hash),
                 journal_id,
             ),
-            Some(Err(e)) => {
+            Err(e) => {
                 self.send_now(
                     seq,
                     wire::error_frame(&envelope.id, seq, None, &e.to_json_line()),
                 );
-                Submitted::Replied
-            }
-            None => {
-                let payload = ApiError::InvalidRequest {
-                    field: "handle",
-                    reason: format!("unknown instance handle \"{handle}\"; upload it first"),
-                }
-                .to_json_line();
-                self.send_now(seq, wire::error_frame(&envelope.id, seq, None, &payload));
                 Submitted::Replied
             }
         }
@@ -1747,7 +1400,7 @@ mod tests {
     use super::*;
     use crate::wire::split_reply;
     use splitgraph::generators;
-    use splitting_api::Problem;
+    use splitting_api::{Instance, Problem};
 
     fn quiet_config() -> ServerConfig {
         ServerConfig {
@@ -2695,7 +2348,7 @@ mod tests {
         assert_eq!(tx.submit_line(&solve1), Submitted::Queued);
         let frame = rx.recv().unwrap();
         assert!(frame.contains("\"type\":\"solution\""), "{frame}");
-        assert_eq!(server.shared.held.lock().unwrap().len(), 1, "adopted");
+        assert_eq!(server.shared.table().census().held.len(), 1, "adopted");
 
         let deletes: Vec<(usize, usize)> = (0..6).map(|j| (0, j)).collect();
         let mutate = wire::render_mutate("m1", &handle, &[], &deletes);
@@ -2716,7 +2369,7 @@ mod tests {
         let frame = rx.recv().unwrap();
         assert!(frame.contains("unsupported-regime"), "{frame}");
         assert_eq!(
-            server.shared.held.lock().unwrap().len(),
+            server.shared.table().census().held.len(),
             0,
             "the stale entry must not survive a failed final repair"
         );
@@ -2773,9 +2426,9 @@ mod tests {
         assert_eq!(tx.submit_line(&solve_a), Submitted::Queued);
         assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
         {
-            let held = server.shared.held.lock().unwrap();
+            let held = server.shared.table().census().held;
             assert_eq!(held.len(), 1);
-            assert!(held.keys().all(|(h, _)| *h == hash_a));
+            assert!(held.iter().all(|h| *h == hash_a));
         }
         // at capacity, adopting B's solution evicts A (the LRU entry)
         // instead of refusing the adoption
@@ -2788,10 +2441,10 @@ mod tests {
         assert_eq!(tx.submit_line(&solve_b), Submitted::Queued);
         assert!(rx.recv().unwrap().contains("\"type\":\"solution\""));
         {
-            let held = server.shared.held.lock().unwrap();
+            let held = server.shared.table().census().held;
             assert_eq!(held.len(), 1, "eviction keeps the cache at capacity");
             assert!(
-                held.keys().all(|(h, _)| *h == hash_b),
+                held.iter().all(|h| *h == hash_b),
                 "the LRU entry (A) was the victim"
             );
         }
@@ -2802,7 +2455,7 @@ mod tests {
         );
         assert!(rx.recv().unwrap().contains("\"type\":\"released\""));
         assert_eq!(
-            server.shared.held.lock().unwrap().len(),
+            server.shared.table().census().held.len(),
             0,
             "released instances must not pin held-cache capacity"
         );
@@ -2810,16 +2463,12 @@ mod tests {
         // reinsert (the mutate-during-checkout orphan), never stored
         let session = Session::with_threads(1);
         let orphan = session.hold(&req_b).unwrap();
-        server.shared.store_held(
-            (hash_b, wire::policy_fingerprint(&req_b)),
-            HeldEntry {
-                held: orphan,
-                pending: Vec::new(),
-                last_used: 0,
-            },
-        );
+        server
+            .shared
+            .table()
+            .store_held((hash_b, wire::policy_fingerprint(&req_b)), orphan);
         assert_eq!(
-            server.shared.held.lock().unwrap().len(),
+            server.shared.table().census().held.len(),
             0,
             "dead-hash entries are dropped at reinsert"
         );
@@ -3101,7 +2750,7 @@ mod tests {
         if compact_threshold.is_some() {
             // one live upload plus the pinned instance's upload + release
             assert_eq!(
-                server.shared.state_records.lock().unwrap().len(),
+                server.shared.table().census().state_records,
                 3,
                 "compaction ran and snapshotted the pinned instance"
             );
@@ -3286,5 +2935,95 @@ mod tests {
         server.shutdown();
         drop(journal);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A one-left-node instance whose node 0 spells `i + 1` in binary
+    /// over right nodes 0..14: distinct content, hence a distinct handle,
+    /// for every `i` below 2^14. Right node 14 is left free for `mutate`.
+    fn numbered_instance(i: usize) -> Instance {
+        let edges: Vec<(usize, usize)> = (0..14)
+            .filter(|j| (i + 1) >> j & 1 == 1)
+            .map(|j| (0, j))
+            .collect();
+        Instance::Bipartite(splitgraph::BipartiteGraph::from_edges(1, 15, &edges).unwrap())
+    }
+
+    /// One connection uploads instance after instance while a second
+    /// releases (then, in a second round, mutates) each one the moment
+    /// it is live. Both sides journal a state record, and recovery
+    /// replays them in journal order, so the journal must hold them in
+    /// the order they were applied: a restart must rebuild exactly the
+    /// live handle set. The race is caught by chance — with the appends
+    /// made after the table lock was dropped, 4,000 rounds per pair
+    /// recovered released or pre-mutation handles in most runs.
+    /// Compaction is off, so every state record replays.
+    #[test]
+    fn racing_connections_journal_state_records_in_apply_order() {
+        use crate::journal::{FsyncPolicy, Journal};
+        const ROUNDS: usize = 4000;
+        let path = temp_journal_path("state-race");
+        let _ = std::fs::remove_file(&path);
+        let config = ServerConfig {
+            journal_compact_threshold: 0,
+            ..quiet_config()
+        };
+        let journal = Arc::new(Journal::open(&path, FsyncPolicy::Never).unwrap());
+        let server = Server::start(ServerConfig {
+            journal: Some(Arc::clone(&journal)),
+            ..config.clone()
+        });
+        for (base, applied) in [
+            (0, "\"type\":\"released\""),
+            (ROUNDS, "\"type\":\"mutated\""),
+        ] {
+            let (mut up_tx, mut up_rx) = server.connect().split();
+            let (mut tx, mut rx) = server.connect().split();
+            thread::scope(|s| {
+                s.spawn(|| {
+                    for i in base..base + ROUNDS {
+                        let upload = wire::render_upload("u", &numbered_instance(i));
+                        assert_eq!(up_tx.submit_line(&upload), Submitted::Replied);
+                        assert!(up_rx.recv().unwrap().contains("\"type\":\"uploaded\""));
+                    }
+                });
+                for i in base..base + ROUNDS {
+                    let handle =
+                        wire::render_handle(wire::instance_fingerprint(&numbered_instance(i)));
+                    let line = if base == 0 {
+                        wire::render_release("r", &handle)
+                    } else {
+                        wire::render_mutate("m", &handle, &[(0, 14)], &[])
+                    };
+                    // unknown-handle errors until the upload lands
+                    loop {
+                        tx.submit_line(&line);
+                        if rx.recv().unwrap().contains(applied) {
+                            break;
+                        }
+                    }
+                }
+            });
+        }
+        let live = server.shared.table().census().handles;
+        assert_eq!(live.len(), ROUNDS, "every mutated instance is live");
+        server.halt();
+        drop(journal);
+
+        let journal = Arc::new(Journal::open(&path, FsyncPolicy::Never).unwrap());
+        let server = Server::start(ServerConfig {
+            journal: Some(Arc::clone(&journal)),
+            ..config
+        });
+        let recovered = server.shared.table().census().handles;
+        server.shutdown();
+        drop(journal);
+        let _ = std::fs::remove_file(&path);
+        let extra = recovered.iter().filter(|h| live.binary_search(h).is_err());
+        let lost = live.iter().filter(|h| recovered.binary_search(h).is_err());
+        let (extra, lost) = (extra.count(), lost.count());
+        assert!(
+            extra == 0 && lost == 0,
+            "recovery brought back {extra} handles the live server no longer held and lost {lost}"
+        );
     }
 }
